@@ -957,7 +957,7 @@ impl Fleet {
     /// verifier violation wins; absent one, fired chaos defenses
     /// qualify; a healthy cell (or one with rings disabled) yields
     /// nothing.
-    fn triage(cell: &Cell, legend: &RingLegend) -> Option<TriageBundle> {
+    fn triage(cell: &Cell, legend: &RingLegend<'_>) -> Option<TriageBundle> {
         let ring: &FlightRing = cell.system.flight_ring()?;
         let (trigger, property, frame, reconfig, detail) =
             if let Some(v) = cell.verifier.violations.first() {

@@ -1,19 +1,13 @@
-//! Frame-batched journal writing, in JSON-Lines or compact binary form.
+//! Frame-batched journal writing in the compact binary encoding.
 //!
-//! The per-event path ([`Journal::to_json_lines`] or writing each
-//! [`JournalEvent::to_json_line`] straight to an output) flushes one
-//! small write per event — fine for one system, ruinous for a fleet of
-//! 10⁵ journaling thousands of events per wall-clock second. A
-//! [`BatchedJournalWriter`] accumulates serialized records in one
-//! reusable byte buffer and pushes them to its sink only every K frames
-//! (or on an explicit [`flush`](BatchedJournalWriter::flush)).
-//!
-//! The writer supports two encodings behind the same API:
-//! [`JournalEncoding::JsonLines`] (the interchange format — one compact
-//! JSON object per line) and [`JournalEncoding::Binary`] (the
-//! length-prefixed codec from [`super::codec`], what the fleet's
-//! background writer emits; decode back to JSON-Lines with
-//! `arfs-trace fleet decode`).
+//! Writing each [`JournalEvent`] straight to an output flushes one small
+//! write per event — fine for one system, ruinous for a fleet of 10⁵
+//! journaling thousands of events per wall-clock second. A
+//! [`BatchedJournalWriter`] encodes records with the length-prefixed
+//! codec from [`super::codec`] (what the fleet's background writer
+//! emits; decode back to JSON-Lines with `arfs-trace fleet decode`) into
+//! one reusable byte buffer and pushes them to its sink only every K
+//! frames (or on an explicit [`flush`](BatchedJournalWriter::flush)).
 //!
 //! Batching cannot reorder events **within** one system: events are
 //! appended in the order the journal recorded them, the buffer is
@@ -21,30 +15,18 @@
 //! only the *timing* of the write moves, never the sequence. (Across
 //! systems the fleet layer concatenates per-system sections in system-id
 //! order, so aggregate output is deterministic too.)
-//!
-//! [`Journal::to_json_lines`]: crate::obs::Journal::to_json_lines
 
 use std::io::{self, Write};
 
 use super::codec;
 use super::journal::JournalEvent;
 
-/// The on-wire form a [`BatchedJournalWriter`] emits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalEncoding {
-    /// One compact JSON object per line — the interchange format.
-    JsonLines,
-    /// The length-prefixed binary codec ([`super::codec`]).
-    Binary,
-}
-
-/// A buffered journal sink that flushes once per frame batch instead
-/// of once per event. See the [module documentation](self).
+/// A buffered binary journal sink that flushes once per frame batch
+/// instead of once per event. See the [module documentation](self).
 #[derive(Debug)]
 pub struct BatchedJournalWriter<W: Write> {
     out: W,
     buf: Vec<u8>,
-    encoding: JournalEncoding,
     /// Flush whenever this many frames have completed since the last
     /// flush (0 behaves like 1: flush every frame).
     flush_every_frames: u64,
@@ -54,24 +36,15 @@ pub struct BatchedJournalWriter<W: Write> {
 }
 
 impl<W: Write> BatchedJournalWriter<W> {
-    /// Creates a JSON-Lines writer that flushes its buffer to `out`
-    /// every `flush_every_frames` completed frames.
-    pub fn new(out: W, flush_every_frames: u64) -> Self {
-        Self::with_encoding(out, flush_every_frames, JournalEncoding::JsonLines)
-    }
-
-    /// Creates a binary-codec writer. The caller is responsible for the
-    /// file magic (see [`codec::encode_magic`]) — the fleet writes it
-    /// once per aggregate journal, not once per system section.
+    /// Creates a writer that flushes its buffer to `out` every
+    /// `flush_every_frames` completed frames. The caller is responsible
+    /// for the file magic (see [`codec::encode_magic`]) — the fleet
+    /// writes it once per aggregate journal, not once per system
+    /// section.
     pub fn new_binary(out: W, flush_every_frames: u64) -> Self {
-        Self::with_encoding(out, flush_every_frames, JournalEncoding::Binary)
-    }
-
-    fn with_encoding(out: W, flush_every_frames: u64, encoding: JournalEncoding) -> Self {
         BatchedJournalWriter {
             out,
             buf: Vec::new(),
-            encoding,
             flush_every_frames: flush_every_frames.max(1),
             frames_since_flush: 0,
             records_written: 0,
@@ -79,43 +52,9 @@ impl<W: Write> BatchedJournalWriter<W> {
         }
     }
 
-    /// The encoding this writer emits.
-    pub fn encoding(&self) -> JournalEncoding {
-        self.encoding
-    }
-
-    /// Serializes one event into the buffer (no I/O).
+    /// Encodes one event into the buffer (no I/O).
     pub fn append(&mut self, event: &JournalEvent) {
-        match self.encoding {
-            JournalEncoding::JsonLines => {
-                self.buf.extend_from_slice(event.to_json_line().as_bytes());
-                self.buf.push(b'\n');
-            }
-            JournalEncoding::Binary => codec::encode_event(&mut self.buf, event),
-        }
-        self.records_written += 1;
-    }
-
-    /// Appends a per-system section header: a raw JSON line under
-    /// JSON-Lines, a tag-1 record under the binary codec.
-    pub fn append_system_header(&mut self, system: u64, seed: u64) {
-        match self.encoding {
-            JournalEncoding::JsonLines => {
-                self.append_line(&format!("{{\"system\":{system},\"seed\":{seed}}}"));
-                return;
-            }
-            JournalEncoding::Binary => codec::encode_system_header(&mut self.buf, system, seed),
-        }
-        self.records_written += 1;
-    }
-
-    /// Appends a pre-formatted line (without trailing newline) into the
-    /// buffer — used for section headers and other non-event framing.
-    /// Only meaningful under [`JournalEncoding::JsonLines`].
-    pub fn append_line(&mut self, line: &str) {
-        debug_assert_eq!(self.encoding, JournalEncoding::JsonLines);
-        self.buf.extend_from_slice(line.as_bytes());
-        self.buf.push(b'\n');
+        codec::encode_event(&mut self.buf, event);
         self.records_written += 1;
     }
 
@@ -175,7 +114,7 @@ impl<W: Write> BatchedJournalWriter<W> {
 mod tests {
     use super::*;
     use crate::obs::codec::{BinaryJournalReader, BinaryRecord};
-    use crate::obs::{Journal, Subsystem};
+    use crate::obs::Subsystem;
 
     fn event(frame: u64, kind: &str) -> JournalEvent {
         JournalEvent {
@@ -186,25 +125,34 @@ mod tests {
         }
     }
 
+    fn decode(bytes: &[u8]) -> Vec<JournalEvent> {
+        BinaryJournalReader::after_magic(bytes)
+            .map(|r| match r.expect("decodes") {
+                BinaryRecord::Event(e) => e,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
-    fn batched_output_matches_per_event_output() {
-        let mut journal = Journal::new();
-        let mut writer = BatchedJournalWriter::new(Vec::new(), 4);
+    fn batched_output_preserves_fifo_order() {
+        let mut expected = Vec::new();
+        let mut writer = BatchedJournalWriter::new_binary(Vec::new(), 4);
         for frame in 0..10 {
             for kind in ["frame-start", "frame-end"] {
                 let e = event(frame, kind);
-                journal.push(e.clone());
                 writer.append(&e);
+                expected.push(e);
             }
             writer.frame_complete().unwrap();
         }
-        let batched = String::from_utf8(writer.into_inner().unwrap()).unwrap();
-        assert_eq!(batched, journal.to_json_lines());
+        assert_eq!(writer.lines_written(), expected.len() as u64);
+        assert_eq!(decode(&writer.into_inner().unwrap()), expected);
     }
 
     #[test]
     fn flush_happens_per_batch_not_per_event() {
-        let mut writer = BatchedJournalWriter::new(Vec::new(), 3);
+        let mut writer = BatchedJournalWriter::new_binary(Vec::new(), 3);
         for frame in 0..2 {
             writer.append(&event(frame, "x"));
             writer.frame_complete().unwrap();
@@ -221,66 +169,28 @@ mod tests {
 
     #[test]
     fn into_inner_flushes_the_tail() {
-        let mut writer = BatchedJournalWriter::new(Vec::new(), 1000);
-        writer.append_line("{\"header\":true}");
+        let mut writer = BatchedJournalWriter::new_binary(Vec::new(), 1000);
         writer.append(&event(0, "x"));
-        let out = String::from_utf8(writer.into_inner().unwrap()).unwrap();
-        assert_eq!(out.lines().count(), 2);
-        assert!(out.starts_with("{\"header\":true}\n"));
-    }
-
-    #[test]
-    fn binary_mode_round_trips_through_the_codec() {
-        let events: Vec<JournalEvent> = (0..6).map(|f| event(f, "frame-start")).collect();
-        let mut writer = BatchedJournalWriter::new_binary(Vec::new(), 2);
-        writer.append_system_header(3, 0xABCD);
-        for e in &events {
-            writer.append(e);
-            writer.frame_complete().unwrap();
-        }
-        assert_eq!(writer.encoding(), JournalEncoding::Binary);
-        assert_eq!(writer.lines_written(), events.len() as u64 + 1);
-        let bytes = writer.into_inner().unwrap();
-
-        let records: Result<Vec<BinaryRecord>, String> =
-            BinaryJournalReader::after_magic(bytes.as_slice()).collect();
-        let records = records.expect("decodes");
-        assert_eq!(
-            records[0],
-            BinaryRecord::System {
-                system: 3,
-                seed: 0xABCD
-            }
-        );
-        let decoded: Vec<&JournalEvent> = records[1..]
-            .iter()
-            .map(|r| match r {
-                BinaryRecord::Event(e) => e,
-                other => panic!("unexpected record {other:?}"),
-            })
-            .collect();
-        assert_eq!(decoded.len(), events.len());
-        for (d, e) in decoded.iter().zip(&events) {
-            assert_eq!(*d, e);
-        }
+        writer.append(&event(1, "y"));
+        assert_eq!(writer.bytes_flushed(), 0);
+        let out = writer.into_inner().unwrap();
+        assert_eq!(decode(&out), [event(0, "x"), event(1, "y")]);
     }
 
     #[test]
     fn binary_encoding_is_smaller_than_json_lines() {
         let events: Vec<JournalEvent> = (0..100).map(|f| event(f, "frame-start")).collect();
-        let mut json = BatchedJournalWriter::new(Vec::new(), 1);
         let mut binary = BatchedJournalWriter::new_binary(Vec::new(), 1);
+        let mut json = 0;
         for e in &events {
-            json.append(e);
             binary.append(e);
+            json += e.to_json_line().len() + 1;
         }
-        let json_bytes = json.into_inner().unwrap();
         let binary_bytes = binary.into_inner().unwrap();
         assert!(
-            binary_bytes.len() < json_bytes.len(),
-            "binary {} vs json {}",
-            binary_bytes.len(),
-            json_bytes.len()
+            binary_bytes.len() < json,
+            "binary {} vs json {json}",
+            binary_bytes.len()
         );
     }
 }

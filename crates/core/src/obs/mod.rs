@@ -15,6 +15,8 @@
 //!   [`Journal::to_json_lines`]/[`Journal::from_json_lines`], summarize
 //!   ([`Journal::summary`]), and diff ([`Journal::diff`]); the
 //!   `arfs-trace` CLI in `arfs-bench` drives all three from the shell.
+//! - [`event`] — the typed [`Event`] stream and its [`EventKind`]
+//!   table (journal kind, subsystem, counter, ring code).
 //! - [`metrics`] — a registry of counters, gauges, and histograms
 //!   (reconfiguration latency in cycles, SCRAM decision time,
 //!   restricted-frame ratio) snapshot-able per run as a JSON artifact.
@@ -36,34 +38,44 @@
 //!   schedule + metrics + causal chain) a fleet emits when a streaming
 //!   verifier violation or chaos defense fires.
 //!
-//! [`System`](crate::system::System) threads both through every layer:
-//! it owns a [`Journal`] and a [`MetricsRegistry`], records into them as
-//! each frame executes, and exposes them via
-//! [`System::journal`](crate::system::System::journal) and
-//! [`System::metrics`](crate::system::System::metrics). Observability is
-//! on by default and can be disabled for hot exhaustive-exploration
-//! loops with
-//! [`SystemBuilder::observability`](crate::system::SystemBuilder::observability).
+//! # One emission point
+//!
+//! [`System`](crate::system::System) records every fact it observes —
+//! frame boundaries, environment changes, Figure 1 signals, SCRAM
+//! decisions, chaos faults and defenses, application failures, substrate
+//! audit entries — as one typed [`Event`] passed to `System::emit`, the
+//! only code that writes a sink. The event log, the flight ring, the
+//! journal and the metrics registry are views of that one stream, each
+//! derived from the variant by one function in [`event`] (see the table
+//! in DESIGN.md, § Observability), so they cannot disagree about what
+//! happened. The ring and the event log record always; the journal and
+//! the metrics only while observability is on (the default; the model
+//! checker turns it off with
+//! [`SystemBuilder::observability`](crate::system::SystemBuilder::observability)).
+//! Wall-clock and bus-throughput samples are measurements, not facts,
+//! and are the only metrics recorded outside `emit`.
 //!
 //! [`System`]: crate::system::System
 
 pub mod batch;
 pub mod codec;
 pub mod counterexample;
+pub mod event;
 pub mod journal;
 pub mod metrics;
 pub mod ring;
 pub mod triage;
 pub mod writer;
 
-pub use batch::{BatchedJournalWriter, JournalEncoding};
+pub use batch::BatchedJournalWriter;
 pub use codec::{BinaryJournalReader, BinaryRecord, JournalBytes};
 pub use counterexample::{CausalLink, Counterexample, FrameVerdict, ShrinkAction, ShrinkStep};
+pub use event::{Event, EventKind};
 pub use journal::{Journal, JournalDiff, JournalEvent, JournalSummary, Subsystem};
 pub use metrics::{
     FleetMetrics, FleetMetricsSnapshot, HistogramSummary, Log2Bucket, Log2Histogram,
     Log2HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use ring::{DecodedRingEvent, FlightRing, RingCode, RingEvent, RingLegend};
+pub use ring::{DecodedRingEvent, FlightRing, RingEvent, RingLegend};
 pub use triage::TriageBundle;
 pub use writer::{BackgroundJournalWriter, JournalBatch, SystemJournal};

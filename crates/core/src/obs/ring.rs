@@ -13,12 +13,14 @@
 //!
 //! # Compactness
 //!
-//! A ring event is `(frame, code, a, b)` — a [`RingCode`] discriminant
-//! plus two `u32` arguments whose meaning depends on the code (see the
-//! table on [`RingCode`]). Names never enter the ring: configurations,
-//! environment factors, and applications are referenced by their index
-//! in the specification, and a [`RingLegend`] built once per fleet (off
-//! the hot path) resolves indices back to names at decode time.
+//! A ring event is `(frame, code, a, b)` — an [`EventKind`] plus two
+//! `u32` arguments whose meaning depends on the kind, both derived from
+//! the recorded [`Event`](super::Event) by
+//! [`Event::ring`](super::Event::ring) (DESIGN.md § Observability tables
+//! them). Names never enter the ring: configurations, environment
+//! factors, and applications are referenced by their index in the
+//! specification, and a [`RingLegend`] resolves indices back to names at
+//! decode time, off the hot path.
 //!
 //! # Run-length coalescing
 //!
@@ -29,96 +31,9 @@
 //! quiet stretch of 10⁵ fast frames costs one slot and the interesting
 //! events around a reconfiguration survive arbitrarily long runs.
 
+use super::event::{self, EventKind};
+use crate::scram::Phase;
 use crate::spec::ReconfigSpec;
-
-/// The kind of a compact ring event, with the meaning of its `(a, b)`
-/// arguments:
-///
-/// | code | `a` | `b` |
-/// |------|-----|-----|
-/// | `FastFrames` / `FullFrames` | run length | — |
-/// | `EnvChanged` | factor index | value index in the factor's domain |
-/// | `ProcessorFailed` | processor id | — |
-/// | `TriggerAccepted` | source config index | target config index |
-/// | `PhaseEntered` | phase index | target config index |
-/// | `Retargeted` | old target index | new target index |
-/// | `Completed` | config index | latency in cycles |
-/// | `DwellSuppressed` | suppressed-until frame (truncated) | — |
-/// | `CommitRetry` | retries used | retry budget |
-/// | `SafeFallback` | abandoned config index | safe config index |
-/// | `TornWrite` | app index | — |
-/// | `BusSilenced` | processor id | silence frames |
-/// | `ClockJitter` | app index | jitter ticks |
-/// | `Quarantined` | processor id | silent frames observed |
-/// | `DeadlineMiss` | app index | ticks consumed |
-/// | `StageError` | app index | — |
-/// | `AppLost` | app index | processor id |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingCode {
-    /// A run of allocation-free steady-state fast frames.
-    FastFrames,
-    /// A run of full frames.
-    FullFrames,
-    /// An environment factor changed value.
-    EnvChanged,
-    /// A processor fail-stopped (injected or quarantined-to-failure).
-    ProcessorFailed,
-    /// The SCRAM accepted a reconfiguration trigger.
-    TriggerAccepted,
-    /// The SCRAM entered a protocol phase.
-    PhaseEntered,
-    /// A mid-reconfiguration retarget (§5.3).
-    Retargeted,
-    /// A reconfiguration completed.
-    Completed,
-    /// A trigger was suppressed by the dwell guard.
-    DwellSuppressed,
-    /// A chaos defense: the commit retry path fired.
-    CommitRetry,
-    /// A chaos defense: fallback to the safe configuration.
-    SafeFallback,
-    /// A chaos fault: a stable-storage commit tore.
-    TornWrite,
-    /// A chaos fault: a processor went bus-silent.
-    BusSilenced,
-    /// A chaos fault: injected clock jitter.
-    ClockJitter,
-    /// A chaos defense: a silent processor was quarantined.
-    Quarantined,
-    /// An application overran its compute budget.
-    DeadlineMiss,
-    /// An application stage returned an error.
-    StageError,
-    /// An application was lost with its failed host processor.
-    AppLost,
-}
-
-impl RingCode {
-    /// The stable kebab-case name, aligned with the journal's kind
-    /// vocabulary where the two overlap.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RingCode::FastFrames => "fast-frames",
-            RingCode::FullFrames => "full-frames",
-            RingCode::EnvChanged => "env-changed",
-            RingCode::ProcessorFailed => "fault-injected",
-            RingCode::TriggerAccepted => "trigger-accepted",
-            RingCode::PhaseEntered => "phase-entered",
-            RingCode::Retargeted => "retargeted",
-            RingCode::Completed => "completed",
-            RingCode::DwellSuppressed => "dwell-suppressed",
-            RingCode::CommitRetry => "commit-retry",
-            RingCode::SafeFallback => "safe-fallback",
-            RingCode::TornWrite => "torn-write",
-            RingCode::BusSilenced => "bus-silenced",
-            RingCode::ClockJitter => "clock-jitter",
-            RingCode::Quarantined => "quarantined",
-            RingCode::DeadlineMiss => "deadline-miss",
-            RingCode::StageError => "stage-error",
-            RingCode::AppLost => "app-lost",
-        }
-    }
-}
 
 /// One compact flight-recorder event: 16 bytes, `Copy`, no heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +42,10 @@ pub struct RingEvent {
     /// frame of the run).
     pub frame: u64,
     /// What happened.
-    pub code: RingCode,
-    /// First argument; see [`RingCode`].
+    pub code: EventKind,
+    /// First argument; see [`Event::ring`](super::Event::ring).
     pub a: u32,
-    /// Second argument; see [`RingCode`].
+    /// Second argument; see [`Event::ring`](super::Event::ring).
     pub b: u32,
 }
 
@@ -150,7 +65,7 @@ impl FlightRing {
     pub fn new(capacity: usize) -> Self {
         let filler = RingEvent {
             frame: 0,
-            code: RingCode::FastFrames,
+            code: EventKind::FastFrames,
             a: 0,
             b: 0,
         };
@@ -191,7 +106,7 @@ impl FlightRing {
     /// Records one frame of a run: if the newest event already has this
     /// `code`, its run length (`a`) is bumped in place; otherwise a new
     /// run of length 1 starts at `frame`. No allocation either way.
-    pub fn bump_run(&mut self, frame: u64, code: RingCode) {
+    pub fn bump_run(&mut self, frame: u64, code: EventKind) {
         if let Some(last) = self.newest_mut() {
             if last.code == code {
                 last.a = last.a.saturating_add(1);
@@ -222,110 +137,55 @@ impl FlightRing {
     }
 }
 
-/// Resolves ring-event indices back to specification names. Built once
-/// per fleet (off the hot path) and shared.
-#[derive(Debug, Clone)]
-pub struct RingLegend {
-    configs: Vec<String>,
-    factors: Vec<(String, Vec<String>)>,
-    apps: Vec<String>,
+/// Resolves ring-event indices back to specification names.
+#[derive(Debug, Clone, Copy)]
+pub struct RingLegend<'a> {
+    spec: &'a ReconfigSpec,
 }
 
-/// The phase names `PhaseEntered` indexes into (the SCRAM's Table 1
-/// order plus the mutation-only stall).
-const PHASES: [&str; 4] = ["halt", "prepare", "initialize", "stall"];
-
-impl RingLegend {
-    /// Builds the legend for a specification: configuration order,
-    /// environment factors with their domains, application order.
-    pub fn for_spec(spec: &ReconfigSpec) -> RingLegend {
-        RingLegend {
-            configs: spec.configs().iter().map(|c| c.id().to_string()).collect(),
-            factors: spec
-                .env_model()
-                .factors()
-                .iter()
-                .map(|f| (f.name().to_owned(), f.domain().to_vec()))
-                .collect(),
-            apps: spec.apps().iter().map(|a| a.id().to_string()).collect(),
-        }
-    }
-
-    fn config(&self, index: u32) -> String {
-        self.configs
-            .get(index as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("config#{index}"))
-    }
-
-    fn app(&self, index: u32) -> String {
-        self.apps
-            .get(index as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("app#{index}"))
-    }
-
-    fn factor_value(&self, factor: u32, value: u32) -> (String, String) {
-        match self.factors.get(factor as usize) {
-            Some((name, domain)) => (
-                name.clone(),
-                domain
-                    .get(value as usize)
-                    .cloned()
-                    .unwrap_or_else(|| format!("value#{value}")),
-            ),
-            None => (format!("factor#{factor}"), format!("value#{value}")),
-        }
+impl<'a> RingLegend<'a> {
+    /// The legend for the specification the ring's system runs under.
+    pub fn for_spec(spec: &'a ReconfigSpec) -> RingLegend<'a> {
+        RingLegend { spec }
     }
 
     /// Decodes one compact event into its human-readable form.
     pub fn decode(&self, event: &RingEvent) -> DecodedRingEvent {
+        let config = |c| event::config(self.spec, c);
+        let app = |a| event::app(self.spec, a);
         let (count, detail) = match event.code {
-            RingCode::FastFrames | RingCode::FullFrames => (u64::from(event.a), String::new()),
-            RingCode::EnvChanged => {
-                let (factor, value) = self.factor_value(event.a, event.b);
+            EventKind::FastFrames | EventKind::FullFrames => (u64::from(event.a), String::new()),
+            EventKind::EnvChanged => {
+                let (factor, value) = event::factor_value(self.spec, event.a, event.b);
                 (1, format!("{factor}={value}"))
             }
-            RingCode::ProcessorFailed => (1, format!("processor {}", event.a)),
-            RingCode::TriggerAccepted => (
-                1,
-                format!("{} -> {}", self.config(event.a), self.config(event.b)),
-            ),
-            RingCode::PhaseEntered => {
-                let phase = PHASES.get(event.a as usize).copied().unwrap_or("phase#?");
-                (1, format!("{phase} (target {})", self.config(event.b)))
+            EventKind::ProcessorFailed => (1, format!("processor {}", event.a)),
+            EventKind::TriggerAccepted => {
+                (1, format!("{} -> {}", config(event.a), config(event.b)))
             }
-            RingCode::Retargeted => (
+            EventKind::PhaseEntered => {
+                let phase = Phase::from_index(event.a).map_or("phase#?".into(), |p| p.to_string());
+                (1, format!("{phase} (target {})", config(event.b)))
+            }
+            EventKind::Retargeted => (1, format!("{} -> {}", config(event.a), config(event.b))),
+            EventKind::Completed => (1, format!("{} after {} cycles", config(event.a), event.b)),
+            EventKind::DwellSuppressed => (1, format!("until frame {}", event.a)),
+            EventKind::CommitRetry => (1, format!("retry {}/{}", event.a, event.b)),
+            EventKind::SafeFallback => (
                 1,
-                format!("{} -> {}", self.config(event.a), self.config(event.b)),
+                format!("abandoned {} for {}", config(event.a), config(event.b)),
             ),
-            RingCode::Completed => (
-                1,
-                format!("{} after {} cycles", self.config(event.a), event.b),
-            ),
-            RingCode::DwellSuppressed => (1, format!("until frame {}", event.a)),
-            RingCode::CommitRetry => (1, format!("retry {}/{}", event.a, event.b)),
-            RingCode::SafeFallback => (
-                1,
-                format!(
-                    "abandoned {} for {}",
-                    self.config(event.a),
-                    self.config(event.b)
-                ),
-            ),
-            RingCode::TornWrite => (1, self.app(event.a)),
-            RingCode::BusSilenced => (1, format!("processor {} for {} frames", event.a, event.b)),
-            RingCode::ClockJitter => (1, format!("{} +{} ticks", self.app(event.a), event.b)),
-            RingCode::Quarantined => (
+            EventKind::TornWrite => (1, app(event.a)),
+            EventKind::BusSilenced => (1, format!("processor {} for {} frames", event.a, event.b)),
+            EventKind::ClockJitter => (1, format!("{} +{} ticks", app(event.a), event.b)),
+            EventKind::Quarantined => (
                 1,
                 format!("processor {} after {} silent frames", event.a, event.b),
             ),
-            RingCode::DeadlineMiss => (
-                1,
-                format!("{} consumed {} ticks", self.app(event.a), event.b),
-            ),
-            RingCode::StageError => (1, self.app(event.a)),
-            RingCode::AppLost => (1, format!("{} on processor {}", self.app(event.a), event.b)),
+            EventKind::DeadlineMiss => (1, format!("{} consumed {} ticks", app(event.a), event.b)),
+            EventKind::StageError => (1, app(event.a)),
+            EventKind::AppLost => (1, format!("{} on processor {}", app(event.a), event.b)),
+            _ => (1, String::new()),
         };
         DecodedRingEvent {
             frame: event.frame,
@@ -347,7 +207,7 @@ impl RingLegend {
 pub struct DecodedRingEvent {
     /// The frame of the event (first frame of a coalesced run).
     pub frame: u64,
-    /// The [`RingCode`] name.
+    /// The [`EventKind`] name.
     pub kind: String,
     /// Run length for coalesced frame runs, 1 otherwise.
     pub count: u64,
@@ -372,7 +232,7 @@ impl std::fmt::Display for DecodedRingEvent {
 mod tests {
     use super::*;
 
-    fn event(frame: u64, code: RingCode) -> RingEvent {
+    fn event(frame: u64, code: EventKind) -> RingEvent {
         RingEvent {
             frame,
             code,
@@ -386,7 +246,7 @@ mod tests {
         let mut ring = FlightRing::new(3);
         assert!(ring.is_empty());
         for frame in 0..5 {
-            ring.push(event(frame, RingCode::EnvChanged));
+            ring.push(event(frame, EventKind::EnvChanged));
         }
         assert_eq!(ring.len(), 3);
         let frames: Vec<u64> = ring.iter().map(|e| e.frame).collect();
@@ -397,28 +257,28 @@ mod tests {
     fn bump_run_coalesces_consecutive_frames() {
         let mut ring = FlightRing::new(4);
         for frame in 0..100 {
-            ring.bump_run(frame, RingCode::FastFrames);
+            ring.bump_run(frame, EventKind::FastFrames);
         }
         assert_eq!(ring.len(), 1);
         let run = ring.iter().next().unwrap();
         assert_eq!(run.frame, 0);
         assert_eq!(run.a, 100);
 
-        ring.push(event(100, RingCode::TriggerAccepted));
+        ring.push(event(100, EventKind::TriggerAccepted));
         for frame in 101..104 {
-            ring.bump_run(frame, RingCode::FullFrames);
+            ring.bump_run(frame, EventKind::FullFrames);
         }
         for frame in 104..110 {
-            ring.bump_run(frame, RingCode::FastFrames);
+            ring.bump_run(frame, EventKind::FastFrames);
         }
-        let kinds: Vec<RingCode> = ring.iter().map(|e| e.code).collect();
+        let kinds: Vec<EventKind> = ring.iter().map(|e| e.code).collect();
         assert_eq!(
             kinds,
             vec![
-                RingCode::FastFrames,
-                RingCode::TriggerAccepted,
-                RingCode::FullFrames,
-                RingCode::FastFrames
+                EventKind::FastFrames,
+                EventKind::TriggerAccepted,
+                EventKind::FullFrames,
+                EventKind::FastFrames
             ]
         );
     }
@@ -427,8 +287,8 @@ mod tests {
     fn zero_capacity_is_clamped() {
         let mut ring = FlightRing::new(0);
         assert_eq!(ring.capacity(), 1);
-        ring.push(event(0, RingCode::EnvChanged));
-        ring.push(event(1, RingCode::Completed));
+        ring.push(event(0, EventKind::EnvChanged));
+        ring.push(event(1, EventKind::Completed));
         assert_eq!(ring.len(), 1);
         assert_eq!(ring.iter().next().unwrap().frame, 1);
     }
@@ -449,35 +309,5 @@ mod tests {
             detail: "power=bad".into(),
         };
         assert_eq!(d.to_string(), "@9 env-changed power=bad");
-    }
-
-    #[test]
-    fn every_code_has_a_stable_name() {
-        for code in [
-            RingCode::FastFrames,
-            RingCode::FullFrames,
-            RingCode::EnvChanged,
-            RingCode::ProcessorFailed,
-            RingCode::TriggerAccepted,
-            RingCode::PhaseEntered,
-            RingCode::Retargeted,
-            RingCode::Completed,
-            RingCode::DwellSuppressed,
-            RingCode::CommitRetry,
-            RingCode::SafeFallback,
-            RingCode::TornWrite,
-            RingCode::BusSilenced,
-            RingCode::ClockJitter,
-            RingCode::Quarantined,
-            RingCode::DeadlineMiss,
-            RingCode::StageError,
-            RingCode::AppLost,
-        ] {
-            assert!(!code.as_str().is_empty());
-            assert!(code
-                .as_str()
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c == '-' || c.is_ascii_digit()));
-        }
     }
 }

@@ -65,6 +65,13 @@ impl Phase {
             Phase::Stall => 3,
         }
     }
+
+    /// Inverse of [`Phase::index`].
+    pub fn from_index(index: u32) -> Option<Phase> {
+        [Phase::Halt, Phase::Prepare, Phase::Init, Phase::Stall]
+            .get(index as usize)
+            .copied()
+    }
 }
 
 impl fmt::Display for Phase {
@@ -541,17 +548,6 @@ impl Scram {
         }
     }
 
-    fn interrupted_apps(&self, from: &ConfigId, to: &ConfigId) -> Vec<AppId> {
-        let from_cfg = self.spec.config(from).expect("validated config");
-        let to_cfg = self.spec.config(to).expect("validated config");
-        self.spec
-            .apps()
-            .iter()
-            .filter(|a| from_cfg.spec_for(a.id()) != to_cfg.spec_for(a.id()))
-            .map(|a| a.id().clone())
-            .collect()
-    }
-
     fn target_spec_for(&self, target: &ConfigId, app: &AppId) -> SpecId {
         self.spec
             .config(target)
@@ -626,15 +622,7 @@ impl Scram {
                             self.steady_decision(frame, std::mem::take(&mut events))
                         } else {
                             let target = self.mutated_target(&target);
-                            let mut interrupted = self.interrupted_apps(&self.current, &target);
-                            if interrupted.is_empty() {
-                                // A placement-only transition (identical
-                                // assignments, different processors)
-                                // interrupts every application: they all
-                                // must stop to migrate.
-                                interrupted =
-                                    self.spec.apps().iter().map(|a| a.id().clone()).collect();
-                            }
+                            let interrupted = self.spec.interrupted_apps(&self.current, &target);
                             if matches!(self.mutation, Some(ScramMutation::PanicOnTrigger)) {
                                 panic!("SCRAM aborted on trigger acceptance (PanicOnTrigger)");
                             }

@@ -560,6 +560,30 @@ impl ReconfigSpec {
         self.choose.choose(current, env)
     }
 
+    /// The applications a `from → to` reconfiguration interrupts: those
+    /// whose specification changes. A placement-only transition
+    /// (identical assignments, different processors) interrupts every
+    /// application: they all must stop to migrate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either configuration is undeclared.
+    pub fn interrupted_apps(&self, from: &ConfigId, to: &ConfigId) -> Vec<AppId> {
+        let from_cfg = self.config(from).expect("validated config");
+        let to_cfg = self.config(to).expect("validated config");
+        let changed: Vec<AppId> = self
+            .apps
+            .iter()
+            .filter(|a| from_cfg.spec_for(a.id()) != to_cfg.spec_for(a.id()))
+            .map(|a| a.id().clone())
+            .collect();
+        if changed.is_empty() {
+            self.apps.iter().map(|a| a.id().clone()).collect()
+        } else {
+            changed
+        }
+    }
+
     /// The environment model.
     pub fn env_model(&self) -> &EnvModel {
         &self.env

@@ -45,9 +45,8 @@ use crate::app::{
 use crate::chaos::{ChaosDefense, ChaosState, FaultKind, FaultPlan};
 use crate::environment::Environment;
 use crate::lint::assembly::{Assembly, ENV_NODE, PROC_NODE_BASE, SCRAM_NODE};
-use crate::obs::{
-    FlightRing, Journal, MetricsRegistry, MetricsSnapshot, RingCode, RingEvent, Subsystem,
-};
+use crate::obs::event::spec_index;
+use crate::obs::{Event, FlightRing, Journal, MetricsRegistry, MetricsSnapshot, RingEvent};
 use crate::scram::{
     FrameDecision, MidReconfigPolicy, Scram, ScramEvent, ScramMutation, StagePolicy, SyncPolicy,
 };
@@ -332,11 +331,10 @@ impl SystemBuilder {
             } else {
                 None
             },
-            ring_reconfig_started: None,
+            reconfig_started_at: None,
             defense_events: 0,
             pool_events_cursor: 0,
             membership_cursor: 0,
-            reconfig_started_at: None,
             chaos: ChaosState {
                 plan: self.fault_plan,
                 defense: self.chaos_defense,
@@ -350,6 +348,19 @@ impl SystemBuilder {
             fast_plan: None,
         })
     }
+}
+
+/// Position of the first item that matches, as an [`Event`] index.
+///
+/// # Panics
+///
+/// Panics if nothing matches: the system only names what its validated
+/// specification declares.
+fn index<T>(items: &[T], matches: impl Fn(&T) -> bool) -> u32 {
+    items
+        .iter()
+        .position(matches)
+        .expect("declared in the spec") as u32
 }
 
 /// One entry of the cached steady-state execution plan: which app runs,
@@ -373,7 +384,9 @@ pub struct System {
     scram: Scram,
     monitors: Vec<Box<dyn crate::environment::EnvMonitor>>,
     trace: SysTrace,
-    events: CowLog<SystemEvent>,
+    /// The logged events ([`Event::logged`]) with their frames; rendered
+    /// as [`SystemEvent`]s on demand.
+    events: CowLog<(u64, Event)>,
     pending_env: Vec<(String, String)>,
     pending_failures: Vec<ProcessorId>,
     journal: Journal,
@@ -384,12 +397,10 @@ pub struct System {
     /// (unlike the journal it never disqualifies fast-path
     /// eligibility).
     ring: Option<FlightRing>,
-    /// Trigger frame tracked for the ring's `Completed` latency
-    /// argument. Deliberately separate from
-    /// [`reconfig_started_at`](System::reconfig_started_at), which is
-    /// obs-gated and feeds the busy-state fingerprint — the ring must
-    /// not perturb model-checker dedup.
-    ring_reconfig_started: Option<u64>,
+    /// Trigger frame of the in-flight reconfiguration, kept whether or
+    /// not anything observes it: the `completed` latency and the
+    /// busy-state fingerprint's window offset both derive from it.
+    reconfig_started_at: Option<u64>,
     /// Always-on count of chaos-defense activations (commit retries,
     /// safe fallbacks, quarantines) — the fleet's triage trigger for
     /// systems that defended successfully without violating a property.
@@ -398,9 +409,6 @@ pub struct System {
     pool_events_cursor: usize,
     /// Tail cursor into the bus's membership-change log.
     membership_cursor: usize,
-    /// Trigger frame of the in-flight reconfiguration, for the latency
-    /// histogram.
-    reconfig_started_at: Option<u64>,
     /// The substrate fault-injection plan and its live state (silence
     /// windows, quarantine streaks).
     chaos: ChaosState,
@@ -526,9 +534,12 @@ impl System {
         &self.chaos
     }
 
-    /// The cumulative system event log, collected into a fresh vector.
+    /// The cumulative system event log, rendered into a fresh vector.
     pub fn events(&self) -> Vec<SystemEvent> {
-        self.events.to_vec()
+        self.events
+            .iter()
+            .filter_map(|(frame, event)| event.system_event(*frame, &self.spec))
+            .collect()
     }
 
     /// Number of system events recorded so far.
@@ -564,48 +575,115 @@ impl System {
         self.defense_events
     }
 
-    /// Records a compact ring event if the ring is enabled. No-op and
-    /// allocation-free otherwise.
-    #[inline]
-    fn ring_push(&mut self, frame: u64, code: RingCode, a: u32, b: u32) {
+    /// Records one fact: the single writer of the flight ring, the
+    /// event log, the defense count, and — while observability is on —
+    /// the journal and the metrics counters. Every sink's record is
+    /// derived from the event (see [`Event`]). Allocation-free unless
+    /// the event is logged or observability is on.
+    fn emit(&mut self, frame: u64, event: Event) {
+        let kind = event.kind();
+        if kind.is_defense() {
+            self.defense_events += 1;
+        }
         if let Some(ring) = &mut self.ring {
-            ring.push(RingEvent { frame, code, a, b });
+            if let Some((code, a, b)) = event.ring() {
+                if code.is_run() {
+                    ring.bump_run(frame, code);
+                } else {
+                    ring.push(RingEvent { frame, code, a, b });
+                }
+            }
+        }
+        if self.obs_enabled {
+            if let Some(counter) = kind.counter() {
+                self.metrics.incr(counter);
+            }
+            if let Event::Completed(_, Some(cycles)) = event {
+                self.metrics.observe("reconfig.latency_cycles", cycles);
+            }
+            let (subsystem, kind, payload) =
+                event.journal(frame, &self.spec, self.environment.current());
+            self.journal.record(frame, subsystem, kind, payload);
+        }
+        if event.logged() {
+            self.events.push((frame, event));
         }
     }
 
-    /// Index of a configuration in the spec's declaration order (the
-    /// ring legend's vocabulary); `u32::MAX` when unknown.
+    /// The frame's measurement samples — wall-clock SCRAM decision time,
+    /// bus deliveries, the restricted-frame ratio — recorded while
+    /// observability is on. Samples are not facts, so they bypass
+    /// [`emit`](System::emit).
+    fn sample(&mut self, decision_ns: u64, deliveries: usize) {
+        if !self.obs_enabled {
+            return;
+        }
+        self.metrics.observe("scram.decision_ns", decision_ns);
+        self.metrics.add("bus.deliveries", deliveries as u64);
+        let frames = self.trace.len() as f64;
+        if frames > 0.0 {
+            self.metrics.set_gauge(
+                "frames.restricted_ratio",
+                self.trace.restricted_frames() as f64 / frames,
+            );
+        }
+    }
+
+    /// The SCRAM's account of a decision, as an [`Event`]. Tracks the
+    /// reconfiguration start the `completed` latency is measured from.
+    fn scram_event(&mut self, frame: u64, event: &ScramEvent) -> Event {
+        let c = |id| self.cfg_index(id);
+        match event {
+            ScramEvent::TriggerAccepted { from, target, .. } => {
+                let event = Event::TriggerAccepted(c(from), c(target));
+                self.reconfig_started_at = Some(frame);
+                event
+            }
+            ScramEvent::PhaseEntered { phase, target, .. } => {
+                Event::PhaseEntered(*phase, c(target))
+            }
+            ScramEvent::Retargeted {
+                old_target,
+                new_target,
+                ..
+            } => Event::Retargeted(c(old_target), c(new_target)),
+            ScramEvent::Completed { config, .. } => {
+                let config = c(config);
+                let cycles = self
+                    .reconfig_started_at
+                    .take()
+                    .map(|start| frame - start + 1);
+                Event::Completed(config, cycles)
+            }
+            ScramEvent::DwellSuppressed { until, .. } => Event::DwellSuppressed(*until),
+            ScramEvent::CommitRetry {
+                target,
+                used,
+                budget,
+                ..
+            } => Event::CommitRetry(c(target), *used, *budget),
+            ScramEvent::SafeFallback {
+                abandoned, safe, ..
+            } => Event::SafeFallback(c(abandoned), c(safe)),
+        }
+    }
+
+    /// Index of a configuration in the spec's declaration order — the
+    /// vocabulary of [`Event`]s.
     fn cfg_index(&self, id: &ConfigId) -> u32 {
-        self.spec
-            .configs()
-            .iter()
-            .position(|c| c.id() == id)
-            .map_or(u32::MAX, |i| i as u32)
+        index(self.spec.configs(), |c| c.id() == id)
     }
 
     /// Index of an application in the spec's declaration order.
     fn app_index_of(&self, id: &AppId) -> u32 {
-        self.spec
-            .apps()
-            .iter()
-            .position(|a| a.id() == id)
-            .map_or(u32::MAX, |i| i as u32)
+        index(self.spec.apps(), |a| a.id() == id)
     }
 
     /// Indices of an environment factor and one of its domain values.
     fn env_index_of(&self, factor: &str, value: &str) -> (u32, u32) {
         let factors = self.spec.env_model().factors();
-        match factors.iter().position(|f| f.name() == factor) {
-            Some(fi) => {
-                let vi = factors[fi]
-                    .domain()
-                    .iter()
-                    .position(|v| v == value)
-                    .map_or(u32::MAX, |i| i as u32);
-                (fi as u32, vi)
-            }
-            None => (u32::MAX, u32::MAX),
-        }
+        let f = index(factors, |f| f.name() == factor);
+        (f, index(factors[f as usize].domain(), |v| v == value))
     }
 
     /// A consistent snapshot of an application's stable-storage region.
@@ -783,11 +861,10 @@ impl System {
             metrics: self.metrics.clone(),
             obs_enabled: self.obs_enabled,
             ring: self.ring.clone(),
-            ring_reconfig_started: self.ring_reconfig_started,
+            reconfig_started_at: self.reconfig_started_at,
             defense_events: self.defense_events,
             pool_events_cursor: self.pool_events_cursor,
             membership_cursor: self.membership_cursor,
-            reconfig_started_at: self.reconfig_started_at,
             chaos: self.chaos.clone(),
             trace_recording: self.trace_recording,
             last_state: self.last_state.clone(),
@@ -919,12 +996,9 @@ impl System {
     /// anomaly (event logging).
     fn run_steady_frame(&mut self) {
         let frame = self.clock.frame();
-        // Flight-recorder bump: coalesced run-length update, in-place,
-        // zero allocations (the alloc-free contract of this path is
-        // proven ring-enabled by tests/alloc_free_frame.rs).
-        if let Some(ring) = &mut self.ring {
-            ring.bump_run(frame, RingCode::FastFrames);
-        }
+        // With the ring on, a coalesced run-length update in place: zero
+        // allocations (proven ring-enabled by tests/alloc_free_frame.rs).
+        self.emit(frame, Event::FastFrame);
         if self.fast_plan.is_none() {
             let mut plan = Vec::with_capacity(self.app_order.len());
             for app_id in &self.app_order {
@@ -967,31 +1041,12 @@ impl System {
                 (result, consumed)
             });
             if let Err(error) = result {
-                let app_id = self.apps[slot.app_index].id().clone();
-                let a = self.app_index_of(&app_id);
-                self.ring_push(frame, RingCode::StageError, a, 0);
-                self.events.push(SystemEvent::AppStageError {
-                    frame,
-                    app: app_id,
-                    stage: "normal".into(),
-                    error,
-                });
+                let app = self.app_index_of(self.apps[slot.app_index].id());
+                self.emit(frame, Event::StageError(app, ConfigStatus::Normal, error));
             }
             if slot.budget > Ticks::ZERO && consumed > slot.budget {
-                let app_id = self.apps[slot.app_index].id().clone();
-                let a = self.app_index_of(&app_id);
-                self.ring_push(
-                    frame,
-                    RingCode::DeadlineMiss,
-                    a,
-                    consumed.raw().min(u64::from(u32::MAX)) as u32,
-                );
-                self.events.push(SystemEvent::DeadlineMiss {
-                    frame,
-                    app: app_id,
-                    consumed,
-                    budget: slot.budget,
-                });
+                let app = self.app_index_of(self.apps[slot.app_index].id());
+                self.emit(frame, Event::DeadlineMiss(app, consumed, slot.budget));
             }
         }
         self.fast_plan = Some(plan);
@@ -1008,20 +1063,8 @@ impl System {
     /// decision for it.
     pub fn run_frame(&mut self) -> FrameDecision {
         let frame = self.clock.frame();
-
-        if let Some(ring) = &mut self.ring {
-            ring.bump_run(frame, RingCode::FullFrames);
-        }
-
-        if self.obs_enabled {
-            self.journal.record(
-                frame,
-                Subsystem::System,
-                "frame-start",
-                serde_json::json!({"config": self.scram.current_config().to_string()}),
-            );
-            self.metrics.incr("frames");
-        }
+        let config = self.cfg_index(self.scram.current_config());
+        self.emit(frame, Event::FrameStart(config));
 
         // --- Virtual monitoring applications sample their components
         // (§6.3); their updates join the frame's environment changes. ---
@@ -1035,20 +1078,7 @@ impl System {
         for p in std::mem::take(&mut self.pending_failures) {
             if self.pool.is_alive(p) {
                 let _ = self.pool.fail(p);
-                self.ring_push(frame, RingCode::ProcessorFailed, p.raw(), 0);
-                self.events.push(SystemEvent::ProcessorDown {
-                    frame,
-                    processor: p,
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::Failstop,
-                        "fault-injected",
-                        serde_json::json!({"processor": p.raw() as u64}),
-                    );
-                    self.metrics.incr("failstop.fault_injections");
-                }
+                self.emit(frame, Event::ProcessorFailed(p));
             }
         }
 
@@ -1062,61 +1092,25 @@ impl System {
             .map(|e| e.kind.clone())
             .collect();
         for kind in struck {
-            match &kind {
+            let event = match kind {
                 FaultKind::CommitFault { app } => {
-                    faulted_apps.insert(app.clone());
-                    let a = self.app_index_of(app);
-                    self.ring_push(frame, RingCode::TornWrite, a, 0);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Failstop,
-                            "torn-write",
-                            serde_json::json!({"app": app.to_string()}),
-                        );
-                    }
+                    let event = Event::TornWrite(self.app_index_of(&app));
+                    faulted_apps.insert(app);
+                    event
                 }
                 FaultKind::BusSilence { processor, frames } => {
                     let until = frame + frames;
-                    let entry = self.chaos.silenced_until.entry(*processor).or_insert(until);
+                    let entry = self.chaos.silenced_until.entry(processor).or_insert(until);
                     *entry = (*entry).max(until);
-                    let (p, n) = (processor.raw(), (*frames).min(u64::from(u32::MAX)) as u32);
-                    self.ring_push(frame, RingCode::BusSilenced, p, n);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Bus,
-                            "bus-silenced",
-                            serde_json::json!({
-                                "processor": processor.raw() as u64,
-                                "frames": *frames,
-                            }),
-                        );
-                    }
+                    Event::BusSilenced(processor, frames)
                 }
                 FaultKind::ClockJitter { app, ticks } => {
-                    let slot = jitter.entry(app.clone()).or_insert(Ticks::ZERO);
-                    *slot += Ticks::new(*ticks);
-                    let a = self.app_index_of(app);
-                    self.ring_push(
-                        frame,
-                        RingCode::ClockJitter,
-                        a,
-                        (*ticks).min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Rtos,
-                            "clock-jitter",
-                            serde_json::json!({"app": app.to_string(), "ticks": *ticks}),
-                        );
-                    }
+                    let event = Event::ClockJitter(self.app_index_of(&app), ticks);
+                    *jitter.entry(app).or_insert(Ticks::ZERO) += Ticks::new(ticks);
+                    event
                 }
-            }
-            if self.obs_enabled {
-                self.metrics.incr("chaos.faults_injected");
-            }
+            };
+            self.emit(frame, event);
         }
 
         // Failpoint: an injected torn stable-storage write, equivalent to
@@ -1130,8 +1124,8 @@ impl System {
             ) {
                 if let Some(app) = self.app_order.first() {
                     faulted_apps.insert(app.clone());
-                    let a = self.app_index_of(app);
-                    self.ring_push(frame, RingCode::TornWrite, a, 0);
+                    let app = self.app_index_of(app);
+                    self.emit(frame, Event::TornWrite(app));
                 }
             }
         });
@@ -1149,29 +1143,7 @@ impl System {
                 let streak = *streak;
                 if streak >= self.chaos.defense.quarantine_window_frames {
                     let _ = self.pool.fail(p);
-                    self.events.push(SystemEvent::ProcessorDown {
-                        frame,
-                        processor: p,
-                    });
-                    self.defense_events += 1;
-                    self.ring_push(
-                        frame,
-                        RingCode::Quarantined,
-                        p.raw(),
-                        streak.min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Failstop,
-                            "quarantined",
-                            serde_json::json!({
-                                "processor": p.raw() as u64,
-                                "silent_frames": streak,
-                            }),
-                        );
-                        self.metrics.incr("chaos.quarantines");
-                    }
+                    self.emit(frame, Event::Quarantined(p, streak));
                     self.chaos.silent_streak.remove(&p);
                     self.chaos.silenced_until.remove(&p);
                 }
@@ -1193,45 +1165,18 @@ impl System {
         // sample for this frame). ---
         for (factor, value) in std::mem::take(&mut self.pending_env) {
             if self.environment.set(frame, &factor, &value) == Ok(true) {
-                self.events.push(SystemEvent::EnvChanged {
-                    frame,
-                    factor: factor.clone(),
-                    value: value.clone(),
-                });
-                let (fi, vi) = self.env_index_of(&factor, &value);
-                self.ring_push(frame, RingCode::EnvChanged, fi, vi);
+                let (f, v) = self.env_index_of(&factor, &value);
+                self.emit(frame, Event::EnvChanged(f, v));
                 // Fault signal: environment monitor -> SCRAM over the bus.
                 // Failpoint: counted for coverage (the SCRAM reads the
                 // environment directly, so a lost modeled signal is
                 // property-benign); Panic models a monitor crash.
                 arfs_assure::fp!("system.env.submit");
                 let payload = format!("{factor}={value}");
-                let _ = self.bus.submit(
-                    ENV_NODE,
-                    Message::new("fault", payload.clone().into_bytes()),
-                );
-                self.events.push(SystemEvent::SignalSent {
-                    frame,
-                    from: "environment".into(),
-                    to: "scram".into(),
-                    topic: "fault".into(),
-                    detail: payload.clone(),
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::Env,
-                        "env-changed",
-                        serde_json::json!({"factor": factor, "value": value}),
-                    );
-                    self.journal.record(
-                        frame,
-                        Subsystem::Env,
-                        "fault-signal",
-                        serde_json::json!({"from": "environment", "to": "scram", "detail": payload}),
-                    );
-                    self.metrics.incr("signals.fault");
-                }
+                let _ = self
+                    .bus
+                    .submit(ENV_NODE, Message::new("fault", payload.into_bytes()));
+                self.emit(frame, Event::FaultSignal(f, v));
             }
         }
         self.bus.mark_present(ENV_NODE);
@@ -1240,16 +1185,14 @@ impl System {
         // --- SCRAM decision. ---
         let decision_started = std::time::Instant::now();
         let decision = self.scram.step_chaos(frame, &env, &faulted_apps);
-        if self.obs_enabled {
-            self.metrics.observe(
-                "scram.decision_ns",
-                decision_started
-                    .elapsed()
-                    .as_nanos()
-                    .min(u128::from(u64::MAX)) as u64,
-            );
+        let decision_ns = decision_started
+            .elapsed()
+            .as_nanos()
+            .min(u128::from(u64::MAX)) as u64;
+        for event in &decision.events {
+            let event = self.scram_event(frame, event);
+            self.emit(frame, event);
         }
-        self.record_scram_events(frame, &decision);
 
         // --- Reconfiguration signals: SCRAM -> each application, via the
         // configuration_status variable in stable storage and the bus. ---
@@ -1264,47 +1207,15 @@ impl System {
                 s.commit();
             });
             if command.status != ConfigStatus::Normal {
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::System,
-                        "stable-commit",
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "status": command.status.as_str(),
-                            "target": match &command.target {
-                                Some(t) => serde_json::Value::Str(t.to_string()),
-                                None => serde_json::Value::Null,
-                            },
-                        }),
-                    );
-                    self.metrics.incr("stable.commits");
-                }
-                let payload = format!("{app_id}:{}", command.status);
-                let _ = self.bus.submit(
-                    SCRAM_NODE,
-                    Message::new("reconfig", payload.clone().into_bytes()),
-                );
-                self.events.push(SystemEvent::SignalSent {
-                    frame,
-                    from: "scram".into(),
-                    to: app_id.to_string(),
-                    topic: "reconfig".into(),
-                    detail: payload.clone(),
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::System,
-                        "reconfig-signal",
-                        serde_json::json!({
-                            "from": "scram",
-                            "to": app_id.to_string(),
-                            "detail": payload,
-                        }),
-                    );
-                    self.metrics.incr("signals.reconfig");
-                }
+                let (app, status) = (self.app_index_of(app_id), command.status);
+                let specs = self.spec.apps()[app as usize].specs();
+                let target = command.target.as_ref().map(|t| spec_index(specs, t));
+                self.emit(frame, Event::StableCommit(app, status, target));
+                let payload = format!("{app_id}:{status}");
+                let _ = self
+                    .bus
+                    .submit(SCRAM_NODE, Message::new("reconfig", payload.into_bytes()));
+                self.emit(frame, Event::ReconfigSignal(app, status));
             }
         }
         self.bus.mark_present(SCRAM_NODE);
@@ -1343,29 +1254,8 @@ impl System {
             let placed = placement_config.placement_for(&app_id);
             let host_alive = placed.map(|p| self.pool.is_alive(p)).unwrap_or(true);
             if !host_alive {
-                self.events.push(SystemEvent::AppLost {
-                    frame,
-                    app: app_id.clone(),
-                    processor: placed.expect("checked above"),
-                });
-                let a = self.app_index_of(&app_id);
-                self.ring_push(
-                    frame,
-                    RingCode::AppLost,
-                    a,
-                    placed.expect("checked above").raw(),
-                );
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::App,
-                        "app-lost",
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "processor": placed.expect("checked above").raw() as u64,
-                        }),
-                    );
-                }
+                let app = self.app_index_of(&app_id);
+                self.emit(frame, Event::AppLost(app, placed.expect("checked above")));
                 let app = &self.apps[app_index];
                 post_ok.insert(app_id.clone(), None);
                 pre_ok.insert(app_id.clone(), None);
@@ -1391,7 +1281,7 @@ impl System {
             };
             let torn = faulted_apps.contains(&app_id);
             let app = &mut self.apps[app_index];
-            let (result, consumed, stage) = region.write(|stable| {
+            let (result, consumed) = region.write(|stable| {
                 let mut ctx = AppContext {
                     frame,
                     stable,
@@ -1399,16 +1289,16 @@ impl System {
                     env: &env,
                     consumed: Ticks::ZERO,
                 };
-                let (result, stage) = match command.status {
-                    ConfigStatus::Normal => (app.run_normal(&mut ctx), "normal"),
-                    ConfigStatus::Halt => (app.halt(&mut ctx), "halt"),
+                let result = match command.status {
+                    ConfigStatus::Normal => app.run_normal(&mut ctx),
+                    ConfigStatus::Halt => app.halt(&mut ctx),
                     ConfigStatus::Prepare => {
                         let target = command.target.clone().expect("prepare carries target");
-                        (app.prepare(&mut ctx, &target), "prepare")
+                        app.prepare(&mut ctx, &target)
                     }
                     ConfigStatus::Initialize => {
                         let target = command.target.clone().expect("initialize carries target");
-                        (app.initialize(&mut ctx, &target), "initialize")
+                        app.initialize(&mut ctx, &target)
                     }
                     ConfigStatus::PrepareInitialize => {
                         // The compressed §6.3 path: both stages back to
@@ -1417,12 +1307,10 @@ impl System {
                             .target
                             .clone()
                             .expect("prepare-initialize carries target");
-                        let result = app
-                            .prepare(&mut ctx, &target)
-                            .and_then(|()| app.initialize(&mut ctx, &target));
-                        (result, "prepare-initialize")
+                        app.prepare(&mut ctx, &target)
+                            .and_then(|()| app.initialize(&mut ctx, &target))
                     }
-                    ConfigStatus::Hold => (Ok(()), "hold"),
+                    ConfigStatus::Hold => Ok(()),
                 };
                 let consumed = ctx.consumed;
                 // Frame-end stable-storage commit (§6.1) — unless this
@@ -1433,7 +1321,7 @@ impl System {
                 } else {
                     stable.commit();
                 }
-                (result, consumed, stage)
+                (result, consumed)
             });
             // Injected clock jitter inflates the frame's consumed ticks
             // before the deadline check sees them.
@@ -1442,65 +1330,12 @@ impl System {
                 None => consumed,
             };
 
+            let index = self.app_index_of(&app_id);
             if let Err(error) = result {
-                let a = self.app_index_of(&app_id);
-                self.ring_push(frame, RingCode::StageError, a, 0);
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::App,
-                        "stage-error",
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "stage": stage,
-                            "error": error.clone(),
-                        }),
-                    );
-                    self.metrics.incr("app.stage_errors");
-                }
-                self.events.push(SystemEvent::AppStageError {
-                    frame,
-                    app: app_id.clone(),
-                    stage: stage.into(),
-                    error,
-                });
+                self.emit(frame, Event::StageError(index, command.status, error));
             }
             if budget > Ticks::ZERO && consumed > budget {
-                self.events.push(SystemEvent::DeadlineMiss {
-                    frame,
-                    app: app_id.clone(),
-                    consumed,
-                    budget,
-                });
-                let a = self.app_index_of(&app_id);
-                self.ring_push(
-                    frame,
-                    RingCode::DeadlineMiss,
-                    a,
-                    consumed.raw().min(u64::from(u32::MAX)) as u32,
-                );
-                if self.obs_enabled {
-                    // The executive's health-monitor view of the same
-                    // overrun (the paper's "timing monitor" trigger
-                    // source).
-                    let health = arfs_rtos::HealthEvent {
-                        frame,
-                        partition: app_id.to_string(),
-                        kind: arfs_rtos::HealthKind::DeadlineMiss { consumed, budget },
-                    };
-                    self.journal.record(
-                        frame,
-                        Subsystem::Rtos,
-                        health.kind.code(),
-                        serde_json::json!({
-                            "app": app_id.to_string(),
-                            "consumed": consumed.raw(),
-                            "budget": budget.raw(),
-                            "detail": health.to_string(),
-                        }),
-                    );
-                    self.metrics.incr("rtos.deadline_misses");
-                }
+                self.emit(frame, Event::DeadlineMiss(index, consumed, budget));
             }
 
             // Predicate evidence for the trace (Table 1's Predicate
@@ -1526,30 +1361,12 @@ impl System {
                 let node = placed
                     .map(|p| NodeId::new(PROC_NODE_BASE + p.raw()))
                     .unwrap_or(SCRAM_NODE);
-                let payload = format!("{app_id}:{}:done", command.status);
+                let status = command.status;
+                let payload = format!("{app_id}:{status}:done");
                 let _ = self
                     .bus
-                    .submit(node, Message::new("status", payload.clone().into_bytes()));
-                self.events.push(SystemEvent::SignalSent {
-                    frame,
-                    from: app_id.to_string(),
-                    to: "scram".into(),
-                    topic: "status".into(),
-                    detail: payload.clone(),
-                });
-                if self.obs_enabled {
-                    self.journal.record(
-                        frame,
-                        Subsystem::App,
-                        "status-signal",
-                        serde_json::json!({
-                            "from": app_id.to_string(),
-                            "to": "scram",
-                            "detail": payload,
-                        }),
-                    );
-                    self.metrics.incr("signals.status");
-                }
+                    .submit(node, Message::new("status", payload.into_bytes()));
+                self.emit(frame, Event::StatusSignal(index, status));
             }
         }
 
@@ -1586,18 +1403,8 @@ impl System {
                         .cloned()
                         .expect("spec recorded per app"),
                     commanded: command.status,
-                    post_ok: post_ok
-                        .get(app_id)
-                        .copied()
-                        .flatten()
-                        .map(Some)
-                        .unwrap_or(None),
-                    pre_ok: pre_ok
-                        .get(app_id)
-                        .copied()
-                        .flatten()
-                        .map(Some)
-                        .unwrap_or(None),
+                    post_ok: post_ok.get(app_id).copied().flatten(),
+                    pre_ok: pre_ok.get(app_id).copied().flatten(),
                     lost: lost.get(app_id).copied().unwrap_or(false),
                 },
             );
@@ -1617,239 +1424,36 @@ impl System {
         // --- One bus round per frame. ---
         let round = self.bus.run_round();
 
-        if self.obs_enabled {
-            self.metrics.add("bus.deliveries", round.delivered as u64);
-
-            // Tail the substrate audit logs into the journal. The
-            // cursor-based iterators skip already-seen history without
-            // rescanning (or copying) the shared COW segments.
-            for change in self.bus.membership_changes_from(self.membership_cursor) {
-                self.journal.record(
-                    frame,
-                    Subsystem::Bus,
-                    "membership-changed",
-                    serde_json::json!({
-                        "round": change.round,
-                        "node": change.node.to_string(),
-                        "present": change.present,
-                    }),
-                );
-                self.metrics.incr("bus.membership_changes");
-            }
-            self.membership_cursor = self.bus.membership_len();
-
-            for event in self.pool.events_since(self.pool_events_cursor) {
-                self.journal.push(crate::obs::JournalEvent {
-                    frame,
-                    subsystem: Subsystem::Failstop,
-                    kind: event.kind().to_owned(),
-                    payload: serde_json::Value::Str(format!("{event:?}")),
-                });
-            }
-            self.pool_events_cursor = self.pool.events_len();
-
-            let restricted = decision
-                .commands
-                .values()
-                .any(|c| c.status != ConfigStatus::Normal);
-            self.journal.record(
-                frame,
-                Subsystem::System,
-                "frame-end",
-                serde_json::json!({
-                    "config": decision.svclvl.to_string(),
-                    "restricted": restricted,
-                }),
-            );
-            let frames = self.trace.len() as f64;
-            if frames > 0.0 {
-                self.metrics.set_gauge(
-                    "frames.restricted_ratio",
-                    self.trace.restricted_frames() as f64 / frames,
-                );
-            }
+        // Tail the substrate audit logs. The cursor-based iterators skip
+        // already-seen history without rescanning (or copying) the shared
+        // COW segments.
+        let changes: Vec<_> = self
+            .bus
+            .membership_changes_from(self.membership_cursor)
+            .copied()
+            .collect();
+        self.membership_cursor = self.bus.membership_len();
+        for change in changes {
+            self.emit(frame, Event::MembershipChanged(change));
         }
+        for event in self.pool.events_since(self.pool_events_cursor) {
+            self.emit(frame, Event::PoolAudit(event));
+        }
+        self.pool_events_cursor = self.pool.events_len();
+
+        let restricted = decision
+            .commands
+            .values()
+            .any(|c| c.status != ConfigStatus::Normal);
+        let config = self.cfg_index(&decision.svclvl);
+        self.emit(frame, Event::FrameEnd(config, restricted));
+        self.sample(decision_ns, round.delivered);
 
         self.clock.advance_frame();
         // A full frame may have changed configurations, budgets, or app
         // specs; the steady-state plan is rebuilt on the next fast frame.
         self.fast_plan = None;
         decision
-    }
-
-    /// Mirrors the SCRAM's per-frame events into the flight ring (always)
-    /// and the journal + metrics (when observability is on). The ring's
-    /// reconfiguration clock (`ring_reconfig_started`) is maintained here
-    /// unconditionally — the obs-gated `reconfig_started_at` twin feeds
-    /// the busy-state fingerprint and must keep its exact legacy
-    /// behavior.
-    fn record_scram_events(&mut self, frame: u64, decision: &FrameDecision) {
-        for event in &decision.events {
-            match event {
-                ScramEvent::TriggerAccepted {
-                    env,
-                    from,
-                    target,
-                    interrupted,
-                    ..
-                } => {
-                    let (f, t) = (self.cfg_index(from), self.cfg_index(target));
-                    self.ring_push(frame, RingCode::TriggerAccepted, f, t);
-                    self.ring_reconfig_started = Some(frame);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "trigger-accepted",
-                            serde_json::json!({
-                                "env": env.to_string(),
-                                "from": from.to_string(),
-                                "target": target.to_string(),
-                                "interrupted": interrupted
-                                    .iter()
-                                    .map(|a| serde_json::Value::Str(a.to_string()))
-                                    .collect::<Vec<_>>(),
-                            }),
-                        );
-                        self.metrics.incr("scram.triggers");
-                        self.reconfig_started_at = Some(frame);
-                    }
-                }
-                ScramEvent::PhaseEntered { phase, target, .. } => {
-                    let t = self.cfg_index(target);
-                    self.ring_push(frame, RingCode::PhaseEntered, phase.index(), t);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "phase-entered",
-                            serde_json::json!({
-                                "phase": phase.to_string(),
-                                "target": target.to_string(),
-                            }),
-                        );
-                    }
-                }
-                ScramEvent::Retargeted {
-                    old_target,
-                    new_target,
-                    ..
-                } => {
-                    let (o, n) = (self.cfg_index(old_target), self.cfg_index(new_target));
-                    self.ring_push(frame, RingCode::Retargeted, o, n);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "retargeted",
-                            serde_json::json!({
-                                "old_target": old_target.to_string(),
-                                "new_target": new_target.to_string(),
-                            }),
-                        );
-                        self.metrics.incr("scram.retargets");
-                    }
-                }
-                ScramEvent::Completed { config, .. } => {
-                    let ring_cycles = self
-                        .ring_reconfig_started
-                        .take()
-                        .map(|start| frame - start + 1);
-                    let c = self.cfg_index(config);
-                    self.ring_push(
-                        frame,
-                        RingCode::Completed,
-                        c,
-                        ring_cycles.unwrap_or(0).min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        let cycles = self
-                            .reconfig_started_at
-                            .take()
-                            .map(|start| frame - start + 1);
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "completed",
-                            serde_json::json!({
-                                "config": config.to_string(),
-                                "cycles": match cycles {
-                                    Some(c) => serde_json::Value::U64(c),
-                                    None => serde_json::Value::Null,
-                                },
-                            }),
-                        );
-                        self.metrics.incr("scram.completions");
-                        if let Some(c) = cycles {
-                            self.metrics.observe("reconfig.latency_cycles", c);
-                        }
-                    }
-                }
-                ScramEvent::DwellSuppressed { until, .. } => {
-                    self.ring_push(
-                        frame,
-                        RingCode::DwellSuppressed,
-                        (*until).min(u64::from(u32::MAX)) as u32,
-                        0,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "dwell-suppressed",
-                            serde_json::json!({"until": *until}),
-                        );
-                        self.metrics.incr("scram.dwell_suppressed");
-                    }
-                }
-                ScramEvent::CommitRetry {
-                    target,
-                    used,
-                    budget,
-                    ..
-                } => {
-                    self.defense_events += 1;
-                    self.ring_push(
-                        frame,
-                        RingCode::CommitRetry,
-                        (*used).min(u64::from(u32::MAX)) as u32,
-                        (*budget).min(u64::from(u32::MAX)) as u32,
-                    );
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "commit-retry",
-                            serde_json::json!({
-                                "target": target.to_string(),
-                                "used": *used,
-                                "budget": *budget,
-                            }),
-                        );
-                        self.metrics.incr("chaos.commit_retries");
-                    }
-                }
-                ScramEvent::SafeFallback {
-                    abandoned, safe, ..
-                } => {
-                    self.defense_events += 1;
-                    let (a, s) = (self.cfg_index(abandoned), self.cfg_index(safe));
-                    self.ring_push(frame, RingCode::SafeFallback, a, s);
-                    if self.obs_enabled {
-                        self.journal.record(
-                            frame,
-                            Subsystem::Scram,
-                            "safe-fallback",
-                            serde_json::json!({
-                                "abandoned": abandoned.to_string(),
-                                "safe": safe.to_string(),
-                            }),
-                        );
-                        self.metrics.incr("chaos.safe_fallbacks");
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -2131,6 +1735,28 @@ mod tests {
         // observability came on.
         assert_eq!(journal.events().first().unwrap().frame, 2);
         assert_eq!(system.metrics().counter("frames"), 6);
+    }
+
+    #[test]
+    fn busy_fingerprint_does_not_depend_on_observability() {
+        // The window offset the busy fingerprint hashes is tracked
+        // whether or not anything observes the run, so the model
+        // checker (observability off) and a journaled replay merge the
+        // same states.
+        let fingerprint = |observed: bool| {
+            let mut system = System::builder(spec())
+                .observability(observed)
+                .build()
+                .unwrap();
+            system.run_frames(2);
+            system.set_env("power", "low").unwrap();
+            system.run_frames(3);
+            assert!(system.scram().is_reconfiguring());
+            system
+                .state_fingerprint()
+                .expect("a busy state is fingerprinted")
+        };
+        assert_eq!(fingerprint(true), fingerprint(false));
     }
 
     #[test]

@@ -8,13 +8,17 @@
 //! same contract: its storage is preallocated at build time and a
 //! steady frame only coalesces the in-place `fast-frames` run, so the
 //! guarantee is proven both with the ring off and with it on.
+//!
+//! Allocations are counted per thread and read on the measuring
+//! thread, so the tests of this binary — which the harness runs in
+//! parallel — never count each other's heap traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
-use arfs_core::obs::RingCode;
+use arfs_core::obs::EventKind;
 use arfs_core::system::System;
 
 /// Wraps the system allocator, counting every allocation and
@@ -22,11 +26,27 @@ use arfs_core::system::System;
 /// test is "no new heap traffic per frame").
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count. A `const`-initialized `Cell`
+    /// needs no lazy registration or destructor, so reading or bumping
+    /// it never allocates (no recursion into the allocator).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown, after the slot is
+    // gone, simply go uncounted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -35,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -62,11 +82,11 @@ fn steady_state_frame_allocates_nothing() {
         "warmed-up quiet system must be on the fast path"
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         assert!(system.advance_frame(), "steady frames must stay fast");
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -97,14 +117,14 @@ fn disabled_failpoints_are_zero_cost() {
     let mut plan = FailpointPlan::new();
     plan.push("system.stable.commit", 1, FpAction::Err);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..1_000 {
         let _campaign = arfs_assure::install(&plan);
         assert!(arfs_assure::hit("system.stable.commit").is_none());
         assert!(arfs_assure::hit_counts().is_empty());
         arfs_assure::reset_hits();
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -132,11 +152,11 @@ fn steady_state_frame_allocates_nothing_with_the_flight_ring_on() {
     );
 
     let ring_len_before = system.flight_ring().expect("ring enabled").len();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..100 {
         assert!(system.advance_frame(), "steady frames must stay fast");
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -153,5 +173,5 @@ fn steady_state_frame_allocates_nothing_with_the_flight_ring_on() {
         "steady frames must coalesce into one ring event"
     );
     let newest = ring.iter().last().expect("ring is nonempty");
-    assert_eq!(newest.code, RingCode::FastFrames);
+    assert_eq!(newest.code, EventKind::FastFrames);
 }

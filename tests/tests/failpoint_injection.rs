@@ -108,6 +108,38 @@ fn unarmed_runs_are_unaffected_and_sites_count_hits() {
 }
 
 #[test]
+fn failpoint_torn_write_is_journaled_and_counted_like_a_planned_one() {
+    let _slot = exclusive();
+    let mut plan = FailpointPlan::new();
+    plan.push("system.stable.commit", 3, FpAction::Err);
+    let _campaign = arfs_assure::install(&plan);
+
+    let spec = avionics_spec().expect("avionics spec is structurally valid");
+    let mut system = System::builder(spec)
+        .flight_recorder(64)
+        .build()
+        .expect("spec builds");
+    for _ in 0..6 {
+        system.run_frame();
+    }
+    // The third pass through the site is frame 2.
+    let torn: Vec<u64> = system
+        .journal()
+        .of_kind("torn-write")
+        .map(|e| e.frame)
+        .collect();
+    assert_eq!(torn, [2]);
+    assert_eq!(system.metrics().counter("chaos.faults_injected"), 1);
+    let ring = system.flight_ring().expect("ring enabled");
+    let ring_torn: Vec<u64> = ring
+        .iter()
+        .filter(|e| e.code == arfs_core::obs::EventKind::TornWrite)
+        .map(|e| e.frame)
+        .collect();
+    assert_eq!(ring_torn, torn);
+}
+
+#[test]
 fn skipped_trigger_defers_one_frame_without_violating_properties() {
     let _slot = exclusive();
     let mut plan = FailpointPlan::new();
