@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::SpecError;
 
@@ -120,9 +121,7 @@ impl EnvModel {
             let mut next = Vec::with_capacity(states.len() * factor.domain.len());
             for state in &states {
                 for value in &factor.domain {
-                    let mut s = state.clone();
-                    s.values.insert(factor.name.clone(), value.clone());
-                    next.push(s);
+                    next.push(state.with(factor.name.as_str(), value.as_str()));
                 }
             }
             states = next;
@@ -136,14 +135,15 @@ impl EnvModel {
     /// One scratch [`EnvState`] is mutated in place between visits (value
     /// strings reuse their buffers), so a caller that never clones the
     /// state — e.g. the coverage obligation on its all-pass path — incurs
-    /// no per-state allocation.
+    /// no per-state allocation. A caller that does keep a clone keeps
+    /// the visited state: the next visit copies the map first.
     pub fn for_each_state<F: FnMut(&EnvState)>(&self, mut f: F) {
         let mut state = EnvState::default();
         for factor in &self.factors {
             let Some(first) = factor.domain.first() else {
                 return; // unconstructible: EnvModel::new rejects empty domains
             };
-            state.values.insert(factor.name.clone(), first.clone());
+            state.set(factor.name.as_str(), first.as_str());
         }
         let mut idx = vec![0usize; self.factors.len()];
         loop {
@@ -162,8 +162,7 @@ impl EnvModel {
                 if wrapped {
                     idx[pos] = 0;
                 }
-                state
-                    .values
+                Arc::make_mut(&mut state.values)
                     .get_mut(&factor.name)
                     .expect("factor seeded above")
                     .clone_from(&factor.domain[idx[pos]]);
@@ -208,21 +207,46 @@ impl EnvModel {
 }
 
 /// A complete assignment of values to environment factors.
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, serde::Serialize, serde::Deserialize,
-)]
+///
+/// The assignment is shared: cloning a state — into a frame record, a
+/// SCRAM event, the environment history — is a reference-count bump,
+/// and [`set`](EnvState::set) / [`with`](EnvState::with) copy the map
+/// only when another clone still shares it (copy-on-write). Clones
+/// therefore keep value semantics.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default, serde::Serialize)]
 pub struct EnvState {
-    values: BTreeMap<String, String>,
+    values: Arc<BTreeMap<String, String>>,
+}
+
+// Written by hand (the derive would need `Deserialize for Arc<_>`); the
+// JSON form is the derived one, `{"values": {factor: value, ..}}`.
+impl serde::Deserialize for EnvState {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
+        if content.as_map().is_none() {
+            return Err(serde::DeError::expected(
+                "map for struct `EnvState`",
+                content,
+            ));
+        }
+        let values = content
+            .get("values")
+            .ok_or_else(|| serde::DeError::custom("missing field `values` in `EnvState`"))?;
+        Ok(EnvState {
+            values: Arc::new(BTreeMap::from_content(values)?),
+        })
+    }
 }
 
 impl EnvState {
     /// Creates a state from `(factor, value)` pairs.
     pub fn new(pairs: impl IntoIterator<Item = (impl Into<String>, impl Into<String>)>) -> Self {
         EnvState {
-            values: pairs
-                .into_iter()
-                .map(|(k, v)| (k.into(), v.into()))
-                .collect(),
+            values: Arc::new(
+                pairs
+                    .into_iter()
+                    .map(|(k, v)| (k.into(), v.into()))
+                    .collect(),
+            ),
         }
     }
 
@@ -235,13 +259,14 @@ impl EnvState {
     #[must_use]
     pub fn with(&self, factor: impl Into<String>, value: impl Into<String>) -> Self {
         let mut s = self.clone();
-        s.values.insert(factor.into(), value.into());
+        s.set(factor, value);
         s
     }
 
-    /// Sets a factor's value in place.
+    /// Sets a factor's value in place (copying the map first if another
+    /// clone shares it).
     pub fn set(&mut self, factor: impl Into<String>, value: impl Into<String>) {
-        self.values.insert(factor.into(), value.into());
+        Arc::make_mut(&mut self.values).insert(factor.into(), value.into());
     }
 
     /// Iterates over `(factor, value)` pairs in factor order.
@@ -548,6 +573,37 @@ mod tests {
     }
 
     #[test]
+    fn cloned_state_mutates_independently() {
+        let original = EnvState::new([("electrical", "both"), ("weather", "clear")]);
+        let mut copy = original.clone();
+        copy.set("electrical", "battery");
+        let changed = copy.with("weather", "storm");
+        assert_eq!(original.get("electrical"), Some("both"));
+        assert_eq!(original.get("weather"), Some("clear"));
+        assert_eq!(copy.get("electrical"), Some("battery"));
+        assert_eq!(copy.get("weather"), Some("clear"));
+        assert_eq!(changed.get("weather"), Some("storm"));
+        assert_eq!(
+            original,
+            EnvState::new([("electrical", "both"), ("weather", "clear")])
+        );
+        // A visitor keeping a clone keeps the state it was shown.
+        let mut kept = Vec::new();
+        power_model().for_each_state(|s| kept.push(s.clone()));
+        assert_eq!(kept, power_model().all_states());
+    }
+
+    #[test]
+    fn env_state_serde_round_trips_in_the_derived_form() {
+        let s = EnvState::new([("electrical", "one"), ("weather", "storm")]);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(json, r#"{"values":{"electrical":"one","weather":"storm"}}"#);
+        assert_eq!(serde_json::from_str::<EnvState>(&json).unwrap(), s);
+        assert!(serde_json::from_str::<EnvState>("[]").is_err());
+        assert!(serde_json::from_str::<EnvState>("{}").is_err());
+    }
+
+    #[test]
     fn environment_tracks_history_by_frame() {
         let initial = EnvState::new([("electrical", "both"), ("weather", "clear")]);
         let mut env = Environment::new(power_model(), initial).unwrap();
@@ -560,6 +616,13 @@ mod tests {
         assert_eq!(env.at_frame(100).get("electrical"), Some("battery"));
         assert_eq!(env.history().len(), 3);
         assert_eq!(env.current().get("electrical"), Some("battery"));
+        // Each history entry kept the state of its own frame.
+        let values: Vec<_> = env
+            .history()
+            .iter()
+            .map(|(_, s)| s.get("electrical"))
+            .collect();
+        assert_eq!(values, [Some("both"), Some("one"), Some("battery")]);
     }
 
     #[test]

@@ -333,6 +333,7 @@ impl SystemBuilder {
             },
             reconfig_started_at: None,
             defense_events: 0,
+            restricted_frames: 0,
             pool_events_cursor: 0,
             membership_cursor: 0,
             chaos: ChaosState {
@@ -405,6 +406,11 @@ pub struct System {
     /// safe fallbacks, quarantines) — the fleet's triage trigger for
     /// systems that defended successfully without violating a property.
     defense_events: u64,
+    /// Frames whose end state had some application not normal — the
+    /// numerator of the `frames.restricted_ratio` gauge, kept whether or
+    /// not the trace is recorded. Fast frames are steady, so only full
+    /// frames count.
+    restricted_frames: u64,
     /// Tail cursor into the processor pool's audit log.
     pool_events_cursor: usize,
     /// Tail cursor into the bus's membership-change log.
@@ -620,13 +626,13 @@ impl System {
         }
         self.metrics.observe("scram.decision_ns", decision_ns);
         self.metrics.add("bus.deliveries", deliveries as u64);
-        let frames = self.trace.len() as f64;
-        if frames > 0.0 {
-            self.metrics.set_gauge(
-                "frames.restricted_ratio",
-                self.trace.restricted_frames() as f64 / frames,
-            );
-        }
+        // Called at the end of a full frame, before the clock advances:
+        // frames `0..=frame` have run.
+        let frames = (self.clock.frame() + 1) as f64;
+        self.metrics.set_gauge(
+            "frames.restricted_ratio",
+            self.restricted_frames as f64 / frames,
+        );
     }
 
     /// The SCRAM's account of a decision, as an [`Event`]. Tracks the
@@ -742,7 +748,7 @@ impl System {
         if !self.monitors.is_empty()
             || !self.pending_env.is_empty()
             || !self.pending_failures.is_empty()
-            || !self.pool.failed_ids().is_empty()
+            || !self.pool.all_alive()
             || !self.chaos.silent_streak.is_empty()
             || self
                 .chaos
@@ -863,6 +869,7 @@ impl System {
             ring: self.ring.clone(),
             reconfig_started_at: self.reconfig_started_at,
             defense_events: self.defense_events,
+            restricted_frames: self.restricted_frames,
             pool_events_cursor: self.pool_events_cursor,
             membership_cursor: self.membership_cursor,
             chaos: self.chaos.clone(),
@@ -1136,14 +1143,14 @@ impl System {
         // window the defense converts it into an explicit fail-stop
         // quarantine (the membership-by-silence contract restored by
         // force). ---
+        let mut quarantined = Vec::new();
         for p in self.pool.alive_ids() {
             if self.chaos.is_silenced(p, frame) {
                 let streak = self.chaos.silent_streak.entry(p).or_insert(0);
                 *streak += 1;
                 let streak = *streak;
                 if streak >= self.chaos.defense.quarantine_window_frames {
-                    let _ = self.pool.fail(p);
-                    self.emit(frame, Event::Quarantined(p, streak));
+                    quarantined.push((p, streak));
                     self.chaos.silent_streak.remove(&p);
                     self.chaos.silenced_until.remove(&p);
                 }
@@ -1151,6 +1158,10 @@ impl System {
             }
             self.chaos.silent_streak.remove(&p);
             self.bus.mark_present(NodeId::new(PROC_NODE_BASE + p.raw()));
+        }
+        for (p, streak) in quarantined {
+            let _ = self.pool.fail(p);
+            self.emit(frame, Event::Quarantined(p, streak));
         }
         for p in self.pool.failed_ids() {
             let factor = format!("processor-{}", p.raw());
@@ -1220,25 +1231,28 @@ impl System {
         }
         self.bus.mark_present(SCRAM_NODE);
 
-        // --- Frame-start blackboard: last frame's committed state. ---
+        // --- Frame-start blackboard: last frame's committed state.
+        // Auto-filled `NullApp`s never read their inputs (the premise the
+        // fast path rests on too), so their board stays empty. ---
         let mut board = Blackboard::new();
-        for (id, region) in &self.regions {
-            board.insert(id.clone(), region.snapshot());
+        if !self.apps_auto_null {
+            for (id, region) in &self.regions {
+                board.insert(id.clone(), region.snapshot());
+            }
         }
 
         // --- Applications execute one unit of work each, in dependency
         // order (the executive's static window order). ---
-        let placement_config = self
-            .spec
+        let spec = Arc::clone(&self.spec);
+        let placement_config = spec
             .config(self.scram.current_config())
-            .expect("validated config")
-            .clone();
-        let mut post_ok: BTreeMap<AppId, Option<bool>> = BTreeMap::new();
-        let mut pre_ok: BTreeMap<AppId, Option<bool>> = BTreeMap::new();
-        let mut spec_now: BTreeMap<AppId, crate::SpecId> = BTreeMap::new();
-        let mut lost: BTreeMap<AppId, bool> = BTreeMap::new();
+            .expect("validated config");
+        // The end-of-frame record of each application, filled in as it
+        // runs.
+        let mut records: BTreeMap<AppId, AppFrameRecord> = BTreeMap::new();
 
-        for app_id in self.app_order.clone() {
+        for order_index in 0..self.app_order.len() {
+            let app_id = self.app_order[order_index].clone();
             let command = decision
                 .commands
                 .get(&app_id)
@@ -1256,11 +1270,15 @@ impl System {
             if !host_alive {
                 let app = self.app_index_of(&app_id);
                 self.emit(frame, Event::AppLost(app, placed.expect("checked above")));
-                let app = &self.apps[app_index];
-                post_ok.insert(app_id.clone(), None);
-                pre_ok.insert(app_id.clone(), None);
-                spec_now.insert(app_id.clone(), app.current_spec());
-                lost.insert(app_id.clone(), true);
+                let record = AppFrameRecord {
+                    reconf_st: decision.reconf_st[&app_id],
+                    spec: self.apps[app_index].current_spec(),
+                    commanded: command.status,
+                    post_ok: None,
+                    pre_ok: None,
+                    lost: true,
+                };
+                records.insert(app_id, record);
                 continue;
             }
 
@@ -1352,9 +1370,14 @@ impl System {
                 }
                 _ => None,
             };
-            post_ok.insert(app_id.clone(), this_post);
-            pre_ok.insert(app_id.clone(), this_pre);
-            spec_now.insert(app_id.clone(), app.current_spec());
+            let record = AppFrameRecord {
+                reconf_st: decision.reconf_st[&app_id],
+                spec: app.current_spec(),
+                commanded: command.status,
+                post_ok: this_post,
+                pre_ok: this_pre,
+                lost: false,
+            };
 
             // Status signal: application -> SCRAM.
             if command.status != ConfigStatus::Normal && command.status != ConfigStatus::Hold {
@@ -1368,6 +1391,7 @@ impl System {
                     .submit(node, Message::new("status", payload.into_bytes()));
                 self.emit(frame, Event::StatusSignal(index, status));
             }
+            records.insert(app_id, record);
         }
 
         // At a completion frame, record precondition evidence for every
@@ -1383,38 +1407,21 @@ impl System {
                 .expect("validated config");
             for app in &self.apps {
                 let assigned = new_config.spec_for(app.id()).expect("validated assignment");
-                pre_ok.insert(
-                    app.id().clone(),
-                    Some(app.precondition_established(assigned)),
-                );
+                records.get_mut(app.id()).expect("record per app").pre_ok =
+                    Some(app.precondition_established(assigned));
             }
         }
 
         // --- Record the end-of-frame system state. ---
-        let mut apps = BTreeMap::new();
-        for app_id in &self.app_order {
-            let command = decision.commands.get(app_id).expect("command per app");
-            apps.insert(
-                app_id.clone(),
-                AppFrameRecord {
-                    reconf_st: decision.reconf_st[app_id],
-                    spec: spec_now
-                        .get(app_id)
-                        .cloned()
-                        .expect("spec recorded per app"),
-                    commanded: command.status,
-                    post_ok: post_ok.get(app_id).copied().flatten(),
-                    pre_ok: pre_ok.get(app_id).copied().flatten(),
-                    lost: lost.get(app_id).copied().unwrap_or(false),
-                },
-            );
-        }
         let state = SysState {
             frame,
             svclvl: decision.svclvl.clone(),
-            env: env.clone(),
-            apps,
+            env,
+            apps: records,
         };
+        if state.any_reconfiguring() {
+            self.restricted_frames += 1;
+        }
         if self.trace_recording {
             self.trace.push(state);
         } else {
@@ -1676,6 +1683,52 @@ mod tests {
         assert_eq!(latency.max, 4); // Table 1: 4 cycles inclusive
         assert!(snap.gauges["frames.restricted_ratio"] > 0.0);
         assert_eq!(snap.histograms["scram.decision_ns"].count, 10);
+    }
+
+    #[test]
+    fn restricted_ratio_gauge_needs_no_recorded_trace() {
+        let drive = |recording: bool| {
+            let mut system = System::builder(spec()).build().unwrap();
+            system.set_trace_recording(recording);
+            system.run_frames(2);
+            system.set_env("power", "low").unwrap();
+            system.run_frames(8);
+            system
+        };
+        let recorded = drive(true);
+        let unrecorded = drive(false);
+        assert!(unrecorded.trace().is_empty());
+
+        // The recorded trace is the reference: its restricted frames over
+        // its length, the same value with or without recording.
+        let expected = recorded.trace().restricted_frames() as f64 / recorded.trace().len() as f64;
+        assert!(expected > 0.0);
+        for system in [&recorded, &unrecorded] {
+            let gauge = system.metrics_snapshot().gauges["frames.restricted_ratio"];
+            assert_eq!(gauge, expected);
+        }
+    }
+
+    #[test]
+    fn forked_child_environment_changes_leave_the_parent_untouched() {
+        let mut parent = System::builder(spec()).build().unwrap();
+        parent.set_trace_recording(false);
+        parent.run_frames(3);
+        let env_before = parent.environment().current().clone();
+        let history_before = parent.environment().history().to_vec();
+        let state_before = parent.last_state().cloned().expect("full frames ran");
+
+        let mut child = parent.fork();
+        child.set_env("power", "critical").unwrap();
+        child.run_frames(6);
+        assert_eq!(child.environment().current().get("power"), Some("critical"));
+        assert_eq!(child.current_config(), &ConfigId::new("minimal"));
+
+        assert_eq!(parent.environment().current(), &env_before);
+        assert_eq!(parent.environment().current().get("power"), Some("good"));
+        assert_eq!(parent.environment().history(), &history_before[..]);
+        assert_eq!(parent.last_state(), Some(&state_before));
+        assert_eq!(state_before.env.get("power"), Some("good"));
     }
 
     #[test]

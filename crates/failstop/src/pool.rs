@@ -135,22 +135,21 @@ impl ProcessorPool {
         self.processors.get_mut(&id)
     }
 
-    /// Ids of processors currently running.
-    pub fn alive_ids(&self) -> Vec<ProcessorId> {
+    /// Ids of processors currently running, in id order. Borrows the
+    /// pool instead of collecting, so per-frame loops allocate nothing.
+    pub fn alive_ids(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         self.processors
             .values()
             .filter(|p| p.is_running())
             .map(Processor::id)
-            .collect()
     }
 
-    /// Ids of processors that have failed.
-    pub fn failed_ids(&self) -> Vec<ProcessorId> {
+    /// Ids of processors that have failed, in id order.
+    pub fn failed_ids(&self) -> impl Iterator<Item = ProcessorId> + '_ {
         self.processors
             .values()
             .filter(|p| !p.is_running())
             .map(Processor::id)
-            .collect()
     }
 
     /// Returns `true` if the given processor exists and is running.
@@ -159,9 +158,6 @@ impl ProcessorPool {
     }
 
     /// Returns `true` if every processor in the pool is running.
-    ///
-    /// Unlike [`alive_ids`](ProcessorPool::alive_ids) this allocates
-    /// nothing, so hot loops can poll pool health every frame.
     pub fn all_alive(&self) -> bool {
         self.processors.values().all(Processor::is_running)
     }
@@ -345,8 +341,8 @@ mod tests {
         let pool = ProcessorPool::with_processors(3);
         assert_eq!(pool.len(), 3);
         assert!(!pool.is_empty());
-        assert_eq!(pool.alive_ids().len(), 3);
-        assert!(pool.failed_ids().is_empty());
+        assert_eq!(pool.alive_ids().count(), 3);
+        assert_eq!(pool.failed_ids().next(), None);
         assert!(pool.is_alive(ProcessorId::new(1)));
     }
 
@@ -380,8 +376,8 @@ mod tests {
     fn fail_moves_processor_to_failed_set() {
         let mut pool = ProcessorPool::with_processors(2);
         pool.fail(ProcessorId::new(0)).unwrap();
-        assert_eq!(pool.alive_ids(), vec![ProcessorId::new(1)]);
-        assert_eq!(pool.failed_ids(), vec![ProcessorId::new(0)]);
+        assert!(pool.alive_ids().eq([ProcessorId::new(1)]));
+        assert!(pool.failed_ids().eq([ProcessorId::new(0)]));
         assert!(!pool.is_alive(ProcessorId::new(0)));
         assert!(pool
             .events()
@@ -519,8 +515,8 @@ mod tests {
         parent.fail(ProcessorId::new(1)).unwrap();
         assert_eq!(parent.assignment("fcs"), Some(ProcessorId::new(0)));
         assert_eq!(child.assignment("fcs"), Some(ProcessorId::new(1)));
-        assert_eq!(parent.failed_ids(), vec![ProcessorId::new(1)]);
-        assert_eq!(child.failed_ids(), vec![ProcessorId::new(0)]);
+        assert!(parent.failed_ids().eq([ProcessorId::new(1)]));
+        assert!(child.failed_ids().eq([ProcessorId::new(0)]));
         // Shared history, divergent tails.
         let shared = 3; // 2 × Added + 1 × Assigned
         assert_eq!(parent.events()[..shared], child.events()[..shared]);

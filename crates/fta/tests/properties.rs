@@ -51,13 +51,13 @@ proptest! {
                 let snap = pool.poll_stable(host).unwrap();
                 prop_assert_eq!(snap.get_u64("total"), Some(5));
                 // Each recovery consumed exactly one failed processor.
-                prop_assert_eq!(recoveries as usize, pool.failed_ids().len());
+                prop_assert_eq!(recoveries as usize, pool.failed_ids().count());
             }
             FtaOutcome::Unrecoverable { reason } => {
                 prop_assert!(reason.contains("no spare"), "{}", reason);
                 // Exhaustion only happens when every processor failed or
                 // is occupied; with one task that means all failed.
-                prop_assert_eq!(pool.failed_ids().len(), n as usize);
+                prop_assert_eq!(pool.failed_ids().count(), n as usize);
             }
             other => prop_assert!(false, "unexpected outcome {other:?}"),
         }

@@ -338,8 +338,12 @@ impl TtBus {
     /// inbox before the round ends.
     pub fn run_round(&mut self) -> RoundReport {
         let round = self.round;
-        let mut transmitted: BTreeMap<NodeId, bool> =
-            self.schedule.nodes().iter().map(|&n| (n, false)).collect();
+        // Inserted one by one: collecting would stage the pairs in a
+        // scratch vector first.
+        let mut transmitted: BTreeMap<NodeId, bool> = BTreeMap::new();
+        for slot in self.schedule.slots() {
+            transmitted.insert(slot.owner, false);
+        }
         let mut deliveries: Vec<Delivery> = Vec::new();
 
         // Both replicated channels down: nothing can be transmitted this
@@ -358,7 +362,8 @@ impl TtBus {
             };
         }
 
-        for slot in self.schedule.slots().to_vec() {
+        for slot_index in 0..self.schedule.len() {
+            let slot = self.schedule.slots()[slot_index];
             let owner = slot.owner;
             if !self.present.get(&owner).copied().unwrap_or(false) {
                 continue; // silent slot: owner presumed failed

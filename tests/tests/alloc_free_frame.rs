@@ -1,4 +1,5 @@
-//! Proves the steady-state fast path is allocation-free.
+//! Proves the steady-state fast path is allocation-free, and holds full
+//! frames to an allocation budget.
 //!
 //! This test binary installs a counting `#[global_allocator]` (every
 //! other test binary is unaffected) and asserts that once a
@@ -174,4 +175,64 @@ fn steady_state_frame_allocates_nothing_with_the_flight_ring_on() {
     );
     let newest = ring.iter().last().expect("ring is nonempty");
     assert_eq!(newest.code, EventKind::FastFrames);
+}
+
+/// Full frames — trigger, halt, prepare, initialize, and the
+/// state SP1–SP4 are checked on — stay within an allocation budget.
+///
+/// Identifiers and environment states are shared (`Arc`), so cloning
+/// one into a frame record, a SCRAM event or the environment history is
+/// a reference-count bump; what still allocates per full frame is the
+/// frame's own bookkeeping (the recorded `SysState`'s per-app map, the
+/// SCRAM's command maps) and the bus message payloads. The budget is
+/// the mean over every full frame of a power-loss reconfiguration and
+/// the recovery back to full service, counted with observability and
+/// trace recording off and the flight ring on — the configuration the
+/// fleet runs its cells in.
+#[test]
+fn full_frame_stays_within_its_allocation_budget() {
+    const BUDGET: f64 = 40.0;
+
+    let spec = Arc::new(avionics_spec().expect("avionics spec builds"));
+    let mut system = System::builder_arc(spec)
+        .observability(false)
+        .flight_recorder(256)
+        .build()
+        .expect("system builds");
+    system.set_trace_recording(false);
+    for _ in 0..16 {
+        system.advance_frame();
+    }
+
+    let mut full_frames = 0u64;
+    let mut full_allocs = 0u64;
+    let mut visited = Vec::new();
+    for value in ["battery", "both"] {
+        system.set_env("electrical", value).expect("declared value");
+        for _ in 0..40 {
+            let before = allocs();
+            let fast = system.advance_frame();
+            let after = allocs();
+            if !fast {
+                full_frames += 1;
+                full_allocs += after - before;
+            }
+        }
+        visited.push(system.current_config().to_string());
+    }
+
+    assert_eq!(
+        visited,
+        ["minimal-service", "full-service"],
+        "the drive must reconfigure to minimal service and back"
+    );
+    assert!(
+        full_frames >= 8,
+        "a reconfiguration and its recovery run at least 8 full frames ({full_frames})"
+    );
+    let mean = full_allocs as f64 / full_frames as f64;
+    assert!(
+        mean <= BUDGET,
+        "full frames must average at most {BUDGET} allocations ({mean:.1} over {full_frames} frames)"
+    );
 }

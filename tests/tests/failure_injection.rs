@@ -138,7 +138,7 @@ fn fta_survives_repeated_spare_failures_then_reports_exhaustion() {
         "{outcome:?}"
     );
     // All four processors burned.
-    assert_eq!(pool.failed_ids().len(), 4);
+    assert_eq!(pool.failed_ids().count(), 4);
 }
 
 #[derive(Clone)]
