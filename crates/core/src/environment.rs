@@ -455,22 +455,30 @@ impl Environment {
         }
     }
 
-    /// The state in effect at the given frame.
-    pub fn at_frame(&self, frame: u64) -> &EnvState {
-        let mut state = &self.history[0].1;
-        for (f, s) in &self.history {
-            if *f <= frame {
-                state = s;
-            } else {
-                break;
-            }
-        }
-        state
+    /// The state in effect at the given frame, or `None` for a frame
+    /// before the retained history (see
+    /// [`drop_history`](Environment::drop_history)).
+    pub fn at_frame(&self, frame: u64) -> Option<&EnvState> {
+        let later = self.history.partition_point(|(f, _)| *f <= frame);
+        later.checked_sub(1).map(|i| &self.history[i].1)
     }
 
     /// The frame-stamped change history, oldest first.
+    ///
+    /// Complete from frame 0 unless
+    /// [`drop_history`](Environment::drop_history) ran: a
+    /// [`System`](crate::system::System) with trace recording off drops
+    /// it at the end of every full frame, so between frames it holds
+    /// only the entry in effect.
     pub fn history(&self) -> &[(u64, EnvState)] {
         &self.history
+    }
+
+    /// Drops the history up to the entry in effect now, which stays as
+    /// the oldest retained entry.
+    pub fn drop_history(&mut self) {
+        let consumed = self.history.len() - 1;
+        self.history.drain(..consumed);
     }
 }
 
@@ -609,11 +617,14 @@ mod tests {
         let mut env = Environment::new(power_model(), initial).unwrap();
         env.set(5, "electrical", "one").unwrap();
         env.set(9, "electrical", "battery").unwrap();
-        assert_eq!(env.at_frame(0).get("electrical"), Some("both"));
-        assert_eq!(env.at_frame(4).get("electrical"), Some("both"));
-        assert_eq!(env.at_frame(5).get("electrical"), Some("one"));
-        assert_eq!(env.at_frame(8).get("electrical"), Some("one"));
-        assert_eq!(env.at_frame(100).get("electrical"), Some("battery"));
+        fn electrical(env: &Environment, frame: u64) -> Option<&str> {
+            env.at_frame(frame)?.get("electrical")
+        }
+        assert_eq!(electrical(&env, 0), Some("both"));
+        assert_eq!(electrical(&env, 4), Some("both"));
+        assert_eq!(electrical(&env, 5), Some("one"));
+        assert_eq!(electrical(&env, 8), Some("one"));
+        assert_eq!(electrical(&env, 100), Some("battery"));
         assert_eq!(env.history().len(), 3);
         assert_eq!(env.current().get("electrical"), Some("battery"));
         // Each history entry kept the state of its own frame.
@@ -623,6 +634,24 @@ mod tests {
             .map(|(_, s)| s.get("electrical"))
             .collect();
         assert_eq!(values, [Some("both"), Some("one"), Some("battery")]);
+    }
+
+    #[test]
+    fn dropped_history_keeps_the_entry_in_effect() {
+        let initial = EnvState::new([("electrical", "both"), ("weather", "clear")]);
+        let mut env = Environment::new(power_model(), initial).unwrap();
+        env.set(5, "electrical", "one").unwrap();
+        env.set(9, "electrical", "battery").unwrap();
+        env.drop_history();
+        assert_eq!(env.history().len(), 1);
+        assert_eq!(env.history()[0].0, 9);
+        // Before the retained window there is no answer, not the oldest
+        // retained state.
+        assert_eq!(env.at_frame(8), None);
+        assert_eq!(env.at_frame(0), None);
+        assert_eq!(env.at_frame(9), Some(env.current()));
+        env.drop_history();
+        assert_eq!(env.history().len(), 1);
     }
 
     #[test]

@@ -21,15 +21,17 @@
 //!
 //! # Streaming verification
 //!
-//! Traces are **not** recorded (memory would grow with
-//! `systems × horizon`). Instead a per-system [`StreamVerifier`] watches
-//! each frame: steady fast frames only bump counters; around every
-//! reconfiguration it buffers the restricted window (forcing full
-//! frames while the window is open), then replays the window through the
-//! real [`properties`] checkers on a miniature trace and maps frame
-//! numbers back. Violations carry the offending system's seed and
-//! stimulus schedule, so any report line replays through the existing
-//! flight-recorder tooling.
+//! Traces are **not** recorded, and with recording off each system
+//! drops its other per-frame histories (event, SCRAM, bus, pool and
+//! environment logs) once a frame has consumed them; either would grow
+//! memory with `systems × horizon`. Instead a per-system
+//! [`StreamVerifier`] watches each frame: steady fast frames only bump
+//! counters; around every reconfiguration it buffers the restricted
+//! window (forcing full frames while the window is open), then replays
+//! the window through the real [`properties`] checkers on a miniature
+//! trace and maps frame numbers back. Violations carry the offending
+//! system's seed and stimulus schedule, so any report line replays
+//! through the existing flight-recorder tooling.
 //!
 //! # Sharded metrics
 //!
@@ -59,11 +61,11 @@
 //! blinds you. The [`journal_sample`](FleetConfig::journal_sample) knob
 //! journals 1-in-K systems with full fidelity (those cells keep
 //! observability on and never take the fast path). Serialization runs
-//! **off** the frame loop: each sampled cell clones its frame's events
-//! into a batch and ships it over a bounded channel to a
-//! [`BackgroundJournalWriter`] thread, which encodes with the compact
-//! binary codec ([`obs::codec`](crate::obs::codec)). Backpressure
-//! blocks the producer (lossless, bounded memory — see
+//! **off** the frame loop: each sampled cell moves its frame's events
+//! out of its system's journal into a batch and ships it over a bounded
+//! channel to a [`BackgroundJournalWriter`] thread, which encodes with
+//! the compact binary codec ([`obs::codec`](crate::obs::codec)).
+//! Backpressure blocks the producer (lossless, bounded memory — see
 //! [`obs::writer`](crate::obs::writer)). `arfs-trace fleet decode`
 //! converts the binary journal back to JSON-Lines interchange form.
 //!
@@ -321,7 +323,8 @@ pub struct StreamVerifier {
     prev_normal: Option<SysState>,
     /// Restricted states of the currently open window, in real frames.
     window: Vec<SysState>,
-    /// Completed-reconfiguration latencies, in cycles.
+    /// Completed-reconfiguration latencies, in cycles, not yet drained
+    /// (a fleet cell drains them into its metrics every frame).
     latencies: Vec<u64>,
     reconfigs: u64,
     restricted_frames: u64,
@@ -479,23 +482,21 @@ struct Cell {
     next_event: usize,
     fast_frames: u64,
     full_frames: u64,
-    /// Drain cursors: how much of the verifier/system state has already
-    /// been folded into the shard-local metrics.
+    /// How much of the verifier/system counts has already been folded
+    /// into the shard-local metrics.
     reconfigs_seen: u64,
-    latency_cursor: usize,
     defense_seen: u64,
     /// Journal batching state, present only on sampled cells.
     journal: Option<CellJournal>,
 }
 
 /// A sampled cell's link to the background journal writer: events are
-/// cloned into `batch` on the frame loop (cheap — a frame produces a
-/// handful) and shipped every `flush_every` frames; serialization
-/// happens on the writer thread.
+/// moved out of the system's journal into `batch` on the frame loop and
+/// shipped every `flush_every` frames; serialization happens on the
+/// writer thread.
 struct CellJournal {
     tx: std::sync::mpsc::SyncSender<JournalBatch>,
     batch: Vec<JournalEvent>,
-    cursor: usize,
     frames_since_send: u64,
     flush_every: u64,
     /// Set when a send found the writer gone (its thread panicked or
@@ -571,18 +572,15 @@ impl Cell {
         // increments; the worker owns the shard until the next barrier.
         metrics.reconfigs += self.verifier.reconfigs - self.reconfigs_seen;
         self.reconfigs_seen = self.verifier.reconfigs;
-        for &latency in &self.verifier.latencies[self.latency_cursor..] {
+        for latency in self.verifier.latencies.drain(..) {
             metrics.reconfig_latency_cycles.record(latency);
         }
-        self.latency_cursor = self.verifier.latencies.len();
         let defenses = self.system.defense_events();
         metrics.defense_events += defenses - self.defense_seen;
         self.defense_seen = defenses;
 
         if let Some(journal) = &mut self.journal {
-            let events = self.system.journal().events();
-            journal.batch.extend_from_slice(&events[journal.cursor..]);
-            journal.cursor = events.len();
+            journal.batch.extend(self.system.drain_journal());
             journal.frames_since_send += 1;
             if journal.frames_since_send >= journal.flush_every {
                 journal.frames_since_send = 0;
@@ -678,7 +676,6 @@ impl Fleet {
                 (Some(writer), true) => Some(CellJournal {
                     tx: writer.sender(),
                     batch: Vec::new(),
-                    cursor: 0,
                     frames_since_send: 0,
                     flush_every: config.journal_flush_frames.max(1),
                     disconnected: false,
@@ -697,7 +694,6 @@ impl Fleet {
                 fast_frames: 0,
                 full_frames: 0,
                 reconfigs_seen: 0,
-                latency_cursor: 0,
                 defense_seen: 0,
                 journal,
             });
@@ -887,10 +883,9 @@ impl Fleet {
             // deltas the per-frame drain never saw.
             merged.reconfigs += cell.verifier.reconfigs - cell.reconfigs_seen;
             cell.reconfigs_seen = cell.verifier.reconfigs;
-            for &latency in &cell.verifier.latencies[cell.latency_cursor..] {
+            for latency in cell.verifier.latencies.drain(..) {
                 merged.reconfig_latency_cycles.record(latency);
             }
-            cell.latency_cursor = cell.verifier.latencies.len();
 
             fast_frames += cell.fast_frames;
             full_frames += cell.full_frames;
@@ -1068,6 +1063,38 @@ mod tests {
         assert_eq!(report.full_frames, 0);
         assert_eq!(report.metrics.counters["fleet.frames_fast"], 8 * 40);
         assert!(report.bundles.is_empty(), "healthy fleet needs no triage");
+    }
+
+    #[test]
+    fn sampled_cells_move_their_journal_into_the_flush_window() {
+        let mut fleet = Fleet::new(
+            Arc::new(small_spec()),
+            FleetConfig {
+                systems: 8,
+                horizon: 120,
+                journal_sample: 4,
+                ..FleetConfig::default()
+            },
+        )
+        .unwrap();
+        let mut shipped_frames = 0;
+        for frame in 0..120 {
+            fleet.advance_frame(frame);
+            for shard in &mut fleet.shards {
+                let shard = shard.get_mut().unwrap();
+                for cell in &shard.cells {
+                    assert!(cell.system.journal().is_empty(), "frame {frame}");
+                    if let Some(journal) = &cell.journal {
+                        assert!(journal.frames_since_send < journal.flush_every);
+                        shipped_frames += u64::from(journal.frames_since_send == 0);
+                    }
+                }
+            }
+        }
+        assert!(shipped_frames > 0);
+        let sections = fleet.finish_journal().expect("journal writer is healthy");
+        assert_eq!(sections.len(), 2, "cells 0 and 4 journal");
+        assert!(sections.values().all(|s| s.events > 0));
     }
 
     #[test]

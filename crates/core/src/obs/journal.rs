@@ -228,6 +228,11 @@ impl Journal {
         self.events.push(event);
     }
 
+    /// Removes and returns every event, oldest first.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, JournalEvent> {
+        self.events.drain(..)
+    }
+
     /// All events, oldest first.
     pub fn events(&self) -> &[JournalEvent] {
         &self.events

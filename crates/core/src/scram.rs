@@ -482,6 +482,11 @@ impl Scram {
     }
 
     /// The cumulative event log, collected into a fresh vector.
+    ///
+    /// Cumulative since construction or the last
+    /// [`drop_history`](Scram::drop_history): a
+    /// [`System`](crate::system::System) with trace recording off drops
+    /// it at the end of every full frame, so between frames it is empty.
     pub fn log(&self) -> Vec<ScramEvent> {
         self.log.to_vec()
     }
@@ -489,6 +494,13 @@ impl Scram {
     /// Number of events logged so far.
     pub fn log_len(&self) -> usize {
         self.log.len()
+    }
+
+    /// Drops the event log once its events have been consumed (each
+    /// [`FrameDecision`] already carries its own). Forks keep their
+    /// history.
+    pub fn drop_history(&mut self) {
+        self.log.clear();
     }
 
     /// The in-flight protocol state, or `None` while steady. See
@@ -1698,6 +1710,31 @@ mod tests {
                 .unwrap(),
         );
         let _ = Scram::new(spec).with_stage_policy(StagePolicy::CompressedPrepareInit);
+    }
+
+    #[test]
+    fn dropped_log_restarts_without_touching_protocol_state() {
+        let mut kept = Scram::new(two_app_spec(0));
+        let mut dropped = Scram::new(two_app_spec(0));
+        let forked = {
+            dropped.step(0, &env("good"));
+            dropped.step(1, &env("low"));
+            kept.step(0, &env("good"));
+            kept.step(1, &env("low"));
+            dropped.fork()
+        };
+        dropped.drop_history();
+        assert_eq!(dropped.log_len(), 0);
+        assert_eq!(forked.log(), kept.log());
+        for f in 2..=4 {
+            let decision = dropped.step(f, &env("low"));
+            assert_eq!(decision, kept.step(f, &env("low")), "frame {f}");
+        }
+        assert_eq!(dropped.current_config(), &ConfigId::new("reduced"));
+        assert_eq!(
+            dropped.log()[..],
+            kept.log()[kept.log_len() - dropped.log_len()..]
+        );
     }
 
     fn fault(names: &[&str]) -> BTreeSet<AppId> {

@@ -46,7 +46,9 @@ use crate::chaos::{ChaosDefense, ChaosState, FaultKind, FaultPlan};
 use crate::environment::Environment;
 use crate::lint::assembly::{Assembly, ENV_NODE, PROC_NODE_BASE, SCRAM_NODE};
 use crate::obs::event::spec_index;
-use crate::obs::{Event, FlightRing, Journal, MetricsRegistry, MetricsSnapshot, RingEvent};
+use crate::obs::{
+    Event, FlightRing, Journal, JournalEvent, MetricsRegistry, MetricsSnapshot, RingEvent,
+};
 use crate::scram::{
     FrameDecision, MidReconfigPolicy, Scram, ScramEvent, ScramMutation, StagePolicy, SyncPolicy,
 };
@@ -541,6 +543,9 @@ impl System {
     }
 
     /// The cumulative system event log, rendered into a fresh vector.
+    ///
+    /// With trace recording off every full frame ends by dropping the
+    /// log; see [`set_trace_recording`](System::set_trace_recording).
     pub fn events(&self) -> Vec<SystemEvent> {
         self.events
             .iter()
@@ -557,6 +562,12 @@ impl System {
     /// was disabled at build time).
     pub fn journal(&self) -> &Journal {
         &self.journal
+    }
+
+    /// Removes and returns every journal event recorded so far, oldest
+    /// first, for a consumer that ships them elsewhere.
+    pub fn drain_journal(&mut self) -> std::vec::Drain<'_, JournalEvent> {
+        self.journal.drain()
     }
 
     /// The run's metrics registry.
@@ -922,9 +933,16 @@ impl System {
     ///
     /// With recording off, executed frames do not append [`SysState`]s to
     /// the trace; the most recent full frame's state is kept in
-    /// [`last_state`](System::last_state) instead. Fleet-scale callers
-    /// turn this off so memory stays flat over millions of frames and
-    /// run their property checks on a streaming window.
+    /// [`last_state`](System::last_state) instead. Every full frame
+    /// also ends by dropping the histories it has consumed, so between
+    /// frames they are empty: the event log ([`events`](System::events)),
+    /// the SCRAM log, the bus delivery and membership logs and the pool
+    /// audit log; the environment history keeps only the entry in
+    /// effect. What a trace-off system keeps is its live state, the
+    /// flight ring, the metrics, and the journal until it is drained
+    /// ([`drain_journal`](System::drain_journal)). Fleet-scale callers
+    /// turn recording off so memory stays flat over millions of frames
+    /// and run their property checks on a streaming window.
     ///
     /// Must be configured before the first frame runs and left alone
     /// thereafter: the trace requires contiguous frames from 0, so
@@ -1064,6 +1082,20 @@ impl System {
             self.last_state = None;
         }
         self.clock.advance_frame();
+    }
+
+    /// Drops the histories a full frame has consumed: it tailed the pool
+    /// and membership logs and emitted its events and the SCRAM's, and
+    /// nothing reads the bus deliveries or environment changes back.
+    /// Forks keep theirs.
+    fn drop_history(&mut self) {
+        self.events.clear();
+        self.scram.drop_history();
+        self.bus.drop_history();
+        self.pool.drop_history();
+        self.environment.drop_history();
+        self.membership_cursor = 0;
+        self.pool_events_cursor = 0;
     }
 
     /// Executes one synchronous real-time frame and returns the SCRAM's
@@ -1455,6 +1487,9 @@ impl System {
         let config = self.cfg_index(&decision.svclvl);
         self.emit(frame, Event::FrameEnd(config, restricted));
         self.sample(decision_ns, round.delivered);
+        if !self.trace_recording {
+            self.drop_history();
+        }
 
         self.clock.advance_frame();
         // A full frame may have changed configurations, budgets, or app

@@ -142,6 +142,15 @@ impl<T> CowLog<T> {
         }
     }
 
+    /// Drops every entry. Sealed segments are released, not mutated, so
+    /// forks sharing them keep their history; the open tail keeps its
+    /// capacity for the entries that follow.
+    pub fn clear(&mut self) {
+        self.segments.clear();
+        self.sealed_len = 0;
+        self.tail.clear();
+    }
+
     /// Moves the open tail into a sealed shared segment.
     fn seal(&mut self) {
         if self.tail.is_empty() {
@@ -293,6 +302,20 @@ mod tests {
         assert_eq!(a, b); // ...same contents
         let c: CowLog<u32> = (0..6).collect();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn clear_leaves_forks_their_shared_history() {
+        let mut parent: CowLog<u32> = (0..4).collect();
+        let child = parent.fork();
+        parent.push(4);
+        parent.clear();
+        assert!(parent.is_empty());
+        assert_eq!(parent.last(), None);
+        assert_eq!(child.to_vec(), vec![0, 1, 2, 3]);
+        parent.push(7);
+        assert_eq!(parent.to_vec(), vec![7]);
+        assert_eq!(parent.iter_from(0).copied().collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

@@ -315,6 +315,13 @@ impl ProcessorPool {
         self.events.iter_from(cursor).cloned().collect()
     }
 
+    /// Drops the audit log once its events have been consumed: the log
+    /// (and so [`events_len`](ProcessorPool::events_len), the tailing
+    /// cursor's origin) restarts at zero. Forks keep their history.
+    pub fn drop_history(&mut self) {
+        self.events.clear();
+    }
+
     /// Forks the pool: every processor is [forked](Processor::fork)
     /// (copy-on-write stable storage), assignments are carried over,
     /// and the audit log's history is sealed and shared. The fork and
@@ -370,6 +377,20 @@ mod tests {
             .kind(),
             "task-restarted"
         );
+    }
+
+    #[test]
+    fn dropped_audit_log_restarts_and_leaves_forks_theirs() {
+        let mut pool = ProcessorPool::with_processors(2);
+        let child = pool.fork();
+        pool.drop_history();
+        assert_eq!(pool.events_len(), 0);
+        pool.fail(ProcessorId::new(0)).unwrap();
+        assert_eq!(
+            pool.events_since(0),
+            [PoolEvent::Failed(ProcessorId::new(0))]
+        );
+        assert_eq!(child.events_len(), 2);
     }
 
     #[test]

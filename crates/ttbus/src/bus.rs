@@ -235,6 +235,11 @@ impl TtBus {
     /// All logged transmissions, oldest first (empty unless
     /// [`enable_log`](TtBus::enable_log) was called), cloned out of the
     /// copy-on-write log.
+    ///
+    /// Logged since enabling or the last
+    /// [`drop_history`](TtBus::drop_history): an `arfs_core::System`
+    /// with trace recording off drops the bus history at the end of
+    /// every full frame, so between frames this is empty.
     pub fn log(&self) -> Vec<Delivery> {
         match self.log_from {
             Some(start) => self.delivered.iter_from(start).cloned().collect(),
@@ -263,6 +268,23 @@ impl TtBus {
     /// (TtBus::membership_changes_from) tailers.
     pub fn membership_len(&self) -> usize {
         self.membership_log.len()
+    }
+
+    /// Drops every delivery made so far — logged or still waiting in a
+    /// node's inbox — and the membership log, once an owner that never
+    /// drains inboxes has consumed them. Logging (if enabled) and the
+    /// membership cursor restart at zero; membership observation, queued
+    /// messages and the round counter are untouched. Forks keep their
+    /// history.
+    pub fn drop_history(&mut self) {
+        self.delivered.clear();
+        for cursor in self.inbox_cursors.values_mut() {
+            *cursor = 0;
+        }
+        if self.log_from.is_some() {
+            self.log_from = Some(0);
+        }
+        self.membership_log.clear();
     }
 
     /// Membership transitions from a cursor position onward, without
@@ -753,6 +775,44 @@ mod tests {
         // Cursor tailing sees only the post-fork entries.
         let tail: Vec<_> = child.membership_changes_from(2).collect();
         assert!(tail.iter().all(|c| c.round == 1));
+    }
+
+    #[test]
+    fn dropped_history_restarts_logs_and_leaves_forks_theirs() {
+        let mut bus = two_node_bus();
+        bus.enable_log();
+        bus.submit(n(0), Message::new("old", Vec::new())).unwrap();
+        bus.run_round();
+        let child = bus.fork();
+        bus.drop_history();
+        assert_eq!(bus.log_len(), 0);
+        assert_eq!(bus.membership_len(), 0);
+        assert!(bus.inbox(n(1)).is_empty());
+        // Membership observation survives: n(0) dropping out is a change
+        // against the round before the drop.
+        bus.submit(n(1), Message::new("new", Vec::new())).unwrap();
+        bus.run_round();
+        assert_eq!(bus.log_len(), 1);
+        assert_eq!(bus.log()[0].message.topic(), "new");
+        assert_eq!(bus.drain_inbox(n(0)).len(), 1);
+        assert_eq!(
+            bus.membership_changes(),
+            [
+                MembershipChange {
+                    round: 1,
+                    node: n(0),
+                    present: false
+                },
+                MembershipChange {
+                    round: 1,
+                    node: n(1),
+                    present: true
+                }
+            ]
+        );
+        assert_eq!(child.log_len(), 1);
+        assert_eq!(child.log()[0].message.topic(), "old");
+        assert_eq!(child.membership_len(), 1);
     }
 
     #[test]
