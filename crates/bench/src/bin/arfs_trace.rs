@@ -32,7 +32,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
-use arfs_bench::TextTable;
+use arfs_bench::{Samples, TextTable};
 use arfs_core::obs::codec::{self, BinaryJournalReader, BinaryRecord};
 use arfs_core::obs::{
     Counterexample, Journal, JournalEvent, JournalSummary, Subsystem, TriageBundle,
@@ -56,7 +56,8 @@ usage: arfs-trace <command> [args]
   fleet triage <bundle.json>           render a fleet triage bundle: flight-ring
                                        timeline with causal markers, metrics
   fleet overhead <a.json> <b.json>     compare two BENCH_fleet.json artifacts
-                                       case by case
+                                       case by case (median [min, max] frames/s)
+                                       and their observability overhead
   fleet decode <journal>               re-emit a journal as JSON-Lines on stdout";
 
 /// One record of a fleet journal stream: a per-system section header or
@@ -502,22 +503,21 @@ fn fleet_triage(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn artifact_cases(artifact: &serde_json::Value) -> Vec<(String, f64)> {
-    artifact
-        .get("cases")
-        .and_then(|v| v.as_seq())
-        .map(|cases| {
-            cases
-                .iter()
-                .filter_map(|c| {
-                    Some((
-                        c.get("case")?.as_str()?.to_owned(),
-                        c.get("frames_per_sec")?.as_f64()?,
-                    ))
-                })
-                .collect()
+/// The frames/s samples of every case of a `BENCH_fleet.json` artifact.
+fn artifact_cases(
+    path: &str,
+    artifact: &serde_json::Value,
+) -> Result<Vec<(String, Samples)>, String> {
+    let cases = artifact["cases"].as_seq().unwrap_or_default();
+    cases
+        .iter()
+        .map(|c| {
+            let name = c["case"].as_str().unwrap_or_default();
+            serde_json::from_value(&c["frames_per_sec"])
+                .map(|fps| (name.to_owned(), fps))
+                .map_err(|e| format!("`{path}`: case `{name}` frames_per_sec: {e}"))
         })
-        .unwrap_or_default()
+        .collect()
 }
 
 fn fleet_overhead(args: &[String]) -> Result<ExitCode, String> {
@@ -530,10 +530,10 @@ fn fleet_overhead(args: &[String]) -> Result<ExitCode, String> {
         serde_json::from_str(&text).map_err(|e| format!("`{path}`: {e}"))
     };
     let (art_a, art_b) = (parse(a)?, parse(b)?);
-    let cases_a = artifact_cases(&art_a);
-    let cases_b: BTreeMap<String, f64> = artifact_cases(&art_b).into_iter().collect();
+    let cases_a = artifact_cases(a, &art_a)?;
+    let cases_b: BTreeMap<String, Samples> = artifact_cases(b, &art_b)?.into_iter().collect();
 
-    println!("throughput: {a} vs {b}");
+    println!("throughput: {a} vs {b} (frames/s, median [min, max])");
     let mut table = TextTable::new(["case", "A frames/s", "B frames/s", "delta"]);
     let mut compared = 0usize;
     for (name, fps_a) in &cases_a {
@@ -541,11 +541,12 @@ fn fleet_overhead(args: &[String]) -> Result<ExitCode, String> {
             continue;
         };
         compared += 1;
+        let (med_a, med_b) = (fps_a.median(), fps_b.median());
         table.row([
             name.clone(),
             format!("{fps_a:.0}"),
             format!("{fps_b:.0}"),
-            format!("{:+.1}%", 100.0 * (fps_b - fps_a) / fps_a.max(1e-9)),
+            format!("{:+.1}%", 100.0 * (med_b - med_a) / med_a.max(1e-9)),
         ]);
     }
     if compared == 0 {
@@ -553,14 +554,19 @@ fn fleet_overhead(args: &[String]) -> Result<ExitCode, String> {
     }
     println!("{table}");
 
-    for (label, art) in [("A", &art_a), ("B", &art_b)] {
-        if let Some(frac) = art
-            .get("obs")
-            .and_then(|o| o.get("overhead_fraction"))
-            .and_then(|v| v.as_f64())
-        {
-            println!("{label}: observability overhead {:.1}%", 100.0 * frac);
-        }
+    for (label, path, art) in [("A", a, &art_a), ("B", b, &art_b)] {
+        let side = |key: &str| -> Result<Samples, String> {
+            serde_json::from_value(&art["obs"][key])
+                .map_err(|e| format!("`{path}`: obs {key}: {e}"))
+        };
+        let (off, on) = (
+            side("frames_per_sec_obs_off")?,
+            side("frames_per_sec_obs_on")?,
+        );
+        println!(
+            "{label}: observability overhead {:.1}% (obs off {off:.0} vs obs on {on:.0} frames/s)",
+            100.0 * (off.median() / on.median().max(1e-9) - 1.0),
+        );
     }
     Ok(ExitCode::SUCCESS)
 }

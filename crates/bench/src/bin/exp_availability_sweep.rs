@@ -14,13 +14,13 @@
 //!    spending most of its time in *some* configuration rather than
 //!    thrashing.
 
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{write_observability, ExitCode, Run, TextTable};
 use arfs_core::properties;
 use arfs_core::stats::trace_stats;
 use arfs_core::workload::{scenario_batch, WorkloadConfig};
 
-fn main() {
-    banner("Experiment E7: availability vs. failure intensity");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E7: availability vs. failure intensity");
 
     let spec = arfs_avionics::avionics_spec().expect("valid spec");
     let runs = 200u64;
@@ -64,14 +64,7 @@ fn main() {
                 // The harshest intensity ships its first run's journal
                 // and metrics as arfs-trace artifacts.
                 first_run_saved = true;
-                write_text(
-                    "exp_availability_sweep.journal.jsonl",
-                    &system.journal().to_json_lines(),
-                );
-                write_json(
-                    "exp_availability_sweep.metrics.json",
-                    &system.metrics_snapshot(),
-                );
+                write_observability("exp_availability_sweep", &system);
             }
         }
         let mean_availability = availability_sum / runs as f64;
@@ -95,16 +88,15 @@ fn main() {
     }
     println!("{table}");
 
-    verdict("SP1-SP4 hold at every intensity", total_violations == 0);
-    verdict(
+    run.verdict("SP1-SP4 hold at every intensity", total_violations == 0);
+    run.verdict(
         "availability degrades monotonically with intensity",
         availabilities.windows(2).all(|w| w[1] <= w[0] + 1e-9),
     );
-    verdict(
+    run.verdict(
         "even the harshest intensity keeps majority availability (dwell guard works)",
         *availabilities.last().expect("nonempty sweep") > 0.5,
     );
 
-    let path = write_json("exp_availability_sweep.json", &artifacts);
-    println!("\nartifact: {}", path.display());
+    run.finish("exp_availability_sweep.json", &artifacts)
 }

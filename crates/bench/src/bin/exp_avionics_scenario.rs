@@ -14,12 +14,12 @@
 //! pre/postconditions.
 
 use arfs_avionics::{AutopilotMode, AvionicsSystem, PilotInput};
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{ExitCode, Run, TextTable};
 use arfs_core::properties;
 use arfs_core::AppId;
 
-fn main() {
-    banner("Experiment E3: the §7.1 avionics mission");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E3: the §7.1 avionics mission");
 
     let mut av = AvionicsSystem::new().expect("builds");
     let mut timeline =
@@ -78,15 +78,15 @@ fn main() {
 
     println!("{timeline}");
 
-    verdict(
+    run.verdict(
         "alternator failure degrades Full Service -> Reduced Service",
         after_first.as_str() == "reduced-service",
     );
-    verdict(
+    run.verdict(
         "repair restores Reduced Service -> Full Service",
         after_repair.as_str() == "full-service",
     );
-    verdict(
+    run.verdict(
         "double failure degrades to Minimal Service (safe configuration)",
         after_double.as_str() == "minimal-service",
     );
@@ -104,7 +104,7 @@ fn main() {
             r.cycles()
         );
     }
-    verdict(
+    run.verdict(
         "mission contains three reconfigurations",
         reconfigs.len() == 3,
     );
@@ -117,24 +117,24 @@ fn main() {
             conditions_ok &= end.apps[&app].pre_ok == Some(true);
         }
     }
-    verdict(
+    run.verdict(
         "surfaces centered & autopilot disengaged at every configuration entry",
         conditions_ok,
     );
 
     let report = properties::check_extended(trace, av.system().spec());
     println!("\nproperty check: {report}");
-    verdict(
+    run.verdict(
         "SP1-SP4 (+extensions) hold over the whole mission",
         report.is_ok(),
     );
 
-    verdict(
+    run.verdict(
         "battery partially drained by minimal-service segment",
         av.world().lock().electrical.battery_charge() < 1.0,
     );
 
-    let path = write_json(
+    run.finish(
         "exp_avionics_scenario.json",
         &serde_json::json!({
             "reconfigurations": reconfigs,
@@ -143,6 +143,5 @@ fn main() {
             "battery_charge": av.world().lock().electrical.battery_charge(),
             "properties_ok": report.is_ok(),
         }),
-    );
-    println!("\nartifact: {}", path.display());
+    )
 }

@@ -20,73 +20,23 @@
 //!
 //! Usage: `exp_chaos_soak [--smoke]` — `--smoke` shrinks the seed
 //! count and horizon for CI. Exits 1 if any section fails; exits 3 if
-//! the run's defense metrics regressed more than 25% against the prior
-//! recorded `BENCH_chaos_soak.json`.
+//! the run's defense metrics grew more than 25% against the previous
+//! `BENCH_chaos_soak.json` recorded with the same core count and smoke
+//! mode.
 
 use std::sync::Arc;
 
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::campaign::{replay, three_level_spec};
+use arfs_bench::{
+    banner, recorded, write_text, Better, ExitCode, Run, Samples, TextTable, RECORDING_FLOOR,
+};
 use arfs_core::assure::{InvariantOracle, OracleProfile};
 use arfs_core::chaos::{ChaosDefense, ChaosProfile, FaultKind, FaultPlan};
-use arfs_core::model::{ModelChecker, Schedule};
+use arfs_core::model::ModelChecker;
 use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
-use arfs_core::system::System;
 use arfs_core::AppId;
 use arfs_failstop::ProcessorId;
 use arfs_rtos::Ticks;
-
-/// How much a gated defense metric may grow over its previous recording
-/// before the run fails with exit code 3.
-const REGRESSION_TOLERANCE: f64 = 1.25;
-
-/// The previous run's artifact, if one exists and still parses. Absent
-/// or stale-format files are simply "no baseline yet" — the gate only
-/// fires when it has a genuine prior number to compare against.
-fn prior_artifact() -> Option<serde_json::Value> {
-    let path = arfs_bench::results_dir().join("BENCH_chaos_soak.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// Three service levels on one processor: the choice function can
-/// point at "mid" while the safe-state fallback lands in "safe", which
-/// SP2 distinguishes — the shape a fallback needs to be observable.
-fn three_level_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(1);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
-        }
-        b = b.config(config);
-    }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("three-level spec is structurally valid")
-}
 
 /// Two processors and a `processor-1` status factor: the quarantine's
 /// forced fail-stop flows through membership into a reconfiguration.
@@ -127,47 +77,12 @@ fn quarantine_spec() -> ReconfigSpec {
         .expect("quarantine spec is structurally valid")
 }
 
-/// Replays one schedule under a plan on a fresh system to the horizon.
-fn replay(
-    spec: &ReconfigSpec,
-    plan: &FaultPlan,
-    defense: ChaosDefense,
-    schedule: &Schedule,
-    horizon: u64,
-    observed: bool,
-) -> System {
-    let mut system = System::builder(spec.clone())
-        .fault_plan(plan.clone())
-        .chaos_defense(defense)
-        .observability(observed)
-        .build()
-        .expect("validated spec builds");
-    let mut events = schedule.0.iter().peekable();
-    for frame in 0..horizon {
-        while let Some((f, factor, value)) = events.peek() {
-            if *f == frame {
-                system.set_env(factor, value).expect("enumerated values");
-                events.next();
-            } else {
-                break;
-            }
-        }
-        system.run_frame();
-    }
-    system
-}
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E8: substrate chaos soak");
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    banner(if smoke {
-        "Experiment E8: substrate chaos soak (smoke)"
-    } else {
-        "Experiment E8: substrate chaos soak"
-    });
-
-    let spec = three_level_spec();
+    let spec = three_level_spec(1);
     let horizon = 12u64;
-    let seeds = if smoke { 6u64 } else { 30u64 };
+    let seeds = if run.smoke { 6u64 } else { 30u64 };
     let defense = ChaosDefense::default();
     // Torn writes and jitter only: random bus-silence runs on this
     // single-processor spec could quarantine the sole host, which is a
@@ -213,7 +128,7 @@ fn main() {
         let mut max_ratio = 0.0f64;
         let mut oracle_violations = 0usize;
         for schedule in mc.schedule_iter() {
-            let system = replay(&spec, &plan, defense, &schedule, horizon, true);
+            let system = replay(&spec, &plan, defense, &schedule.0, horizon);
             retries += system.journal().of_kind("commit-retry").count() as u64;
             fallbacks += system.journal().of_kind("safe-fallback").count() as u64;
             let trace = system.trace();
@@ -251,16 +166,15 @@ fn main() {
         global_max_ratio = global_max_ratio.max(max_ratio);
     }
     println!("{table}");
-    verdict(
+    all_ok &= run.verdict(
         "random campaigns: SP1-SP4 hold, zero fallbacks within budget",
         campaigns_clean,
     );
-    verdict(
+    all_ok &= run.verdict(
         "no deadlock/livelock: restricted-frame ratio bounded",
         livelock_free,
     );
-    verdict("campaigns exercised the retry path", total_retries > 0);
-    all_ok &= campaigns_clean && livelock_free && total_retries > 0;
+    all_ok &= run.verdict("campaigns exercised the retry path", total_retries > 0);
 
     // --- Section 2: bus-silence quarantine. ---
     let qspec = quarantine_spec();
@@ -272,7 +186,7 @@ fn main() {
             frames: 4,
         },
     );
-    let qsystem = replay(&qspec, &qplan, defense, &Schedule(Vec::new()), 12, true);
+    let qsystem = replay(&qspec, &qplan, defense, &[], 12);
     let quarantined = qsystem.journal().of_kind("quarantined").count() == 1;
     let landed_solo = qsystem.current_config().to_string() == "solo";
     // Exhaustive profile: the quarantine spec is deliberately one-way
@@ -280,11 +194,10 @@ fn main() {
     // obligation of the soak profile does not apply to it.
     let qoracle = InvariantOracle::new(qsystem.spec_arc(), OracleProfile::Exhaustive);
     let qreport = qoracle.report(qsystem.trace());
-    verdict(
+    all_ok &= run.verdict(
         "silent processor quarantined to fail-stop; membership drove reconfiguration to solo",
         quarantined && landed_solo && qreport.is_ok(),
     );
-    all_ok &= quarantined && landed_solo && qreport.is_ok();
 
     // --- Section 3: known-bad fixture (retry budget 0). ---
     let mut bad_plan = FaultPlan::new();
@@ -310,48 +223,35 @@ fn main() {
         (Some(s), Some(p)) => s.to_json_pretty() == p.to_json_pretty(),
         _ => false,
     };
-    verdict("retry budget 0 fails the campaign", budget0_failed);
-    verdict(
+    all_ok &= run.verdict("retry budget 0 fails the campaign", budget0_failed);
+    all_ok &= run.verdict(
         "shrunk counterexample byte-identical across serial and work-stealing engines",
         engines_agree,
     );
-    all_ok &= budget0_failed && engines_agree;
 
     let ce_path =
         serial_ce.map(|ce| write_text("counterexample_chaos_budget0.json", &ce.to_json_pretty()));
 
-    // --- Self-regression gate: defense metrics vs the prior artifact.
-    // The campaigns are fully deterministic given (smoke, seeds), so
-    // any growth is a real behavior change, not noise; the gate only
-    // compares recordings of the same shape and tolerates 25% before
-    // failing with exit code 3. A missing/unparsable prior (or one
-    // recorded at a different scale) just sets a fresh baseline. ---
+    // --- Soak-regression gate: defense metrics vs the previous
+    // recording. The campaigns are deterministic given the smoke mode,
+    // so each metric is a single sample: its spread is zero and the gate
+    // keeps the 25% floor. ---
     banner("soak-regression gate");
-    let mut bench_regressed = false;
-    let prior = prior_artifact().filter(|p| {
-        p.get("smoke").and_then(|v| v.as_bool()) == Some(smoke)
-            && p.get("seeds").and_then(|v| v.as_u64()) == Some(seeds)
-    });
-    let gauges: [(&str, f64); 2] = [
-        ("total_commit_retries", total_retries as f64),
-        ("max_restricted_ratio", global_max_ratio),
-    ];
-    for (key, current) in gauges {
-        match prior.as_ref().and_then(|p| p.get(key)?.as_f64()) {
-            Some(prev) if prev > 0.0 => {
-                let ok = current <= prev * REGRESSION_TOLERANCE;
-                verdict(
-                    &format!("{key} {current:.3} within 25% of recorded {prev:.3}"),
-                    ok,
-                );
-                bench_regressed |= !ok;
-            }
-            _ => println!("{key}: no prior recording; baseline set at {current:.3}"),
-        }
+    let baseline = run.baseline("BENCH_chaos_soak.json");
+    let total_retries = Samples(vec![total_retries as f64]);
+    let global_max_ratio = Samples(vec![global_max_ratio]);
+    for (key, current) in [
+        ("total_commit_retries", &total_retries),
+        ("max_restricted_ratio", &global_max_ratio),
+    ] {
+        let prev = recorded(baseline.as_ref(), &[key]);
+        run.gate(key, Better::Lower, RECORDING_FLOOR, prev.as_ref(), current);
     }
 
+    if let Some(ce_path) = ce_path {
+        println!("counterexample: {}", ce_path.display());
+    }
     let artifact = serde_json::json!({
-        "smoke": smoke,
         "horizon": horizon,
         "seeds": seeds,
         "total_commit_retries": total_retries,
@@ -370,15 +270,5 @@ fn main() {
         },
         "all_ok": all_ok,
     });
-    let path = write_json("BENCH_chaos_soak.json", &artifact);
-    println!("\nartifact: {}", path.display());
-    if let Some(ce_path) = ce_path {
-        println!("counterexample: {}", ce_path.display());
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
-    if bench_regressed {
-        std::process::exit(3);
-    }
+    run.finish("BENCH_chaos_soak.json", artifact)
 }

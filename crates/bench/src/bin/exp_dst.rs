@@ -27,15 +27,13 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use arfs_assure::{FailpointPlan, FpAction};
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::campaign::{replay, three_level_spec};
+use arfs_bench::{banner, ExitCode, Run, TextTable};
 use arfs_core::assure::{dst_menu, InvariantOracle, OracleProfile};
 use arfs_core::chaos::{ChaosDefense, ChaosProfile, FaultPlan};
 use arfs_core::fleet::{Fleet, FleetConfig};
 use arfs_core::properties::PropertyViolation;
-use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
-use arfs_core::system::System;
-use arfs_failstop::ProcessorId;
-use arfs_rtos::Ticks;
+use arfs_core::spec::ReconfigSpec;
 use arfs_ttbus::{BusSchedule, Message, NodeId, TtBus};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,46 +55,6 @@ const DST_DEFENSE: ChaosDefense = ChaosDefense {
     retry_backoff_frames: 0,
     quarantine_window_frames: 3,
 };
-
-/// Three service levels on one processor (the chaos-soak shape): the
-/// richest single-app choice structure, cheap enough for hundreds of
-/// seeded replays.
-fn dst_spec() -> ReconfigSpec {
-    let mut b = ReconfigSpec::builder()
-        .frame_len(Ticks::new(100))
-        .env_factor("power", ["good", "degraded", "bad"])
-        .app(
-            AppDecl::new("a")
-                .spec(FunctionalSpec::new("full"))
-                .spec(FunctionalSpec::new("reduced"))
-                .spec(FunctionalSpec::new("minimal")),
-        )
-        .min_dwell_frames(2);
-    let configs = [("full", "full"), ("mid", "reduced"), ("safe", "minimal")];
-    for (i, (name, spec)) in configs.iter().enumerate() {
-        let mut config = Configuration::new(*name)
-            .assign("a", *spec)
-            .place("a", ProcessorId::new(0));
-        if i == configs.len() - 1 {
-            config = config.safe();
-        }
-        b = b.config(config);
-    }
-    for (from, _) in &configs {
-        for (to, _) in &configs {
-            if from != to {
-                b = b.transition(*from, *to, Ticks::new(600));
-            }
-        }
-    }
-    b.choose_when("power", "good", "full")
-        .choose_when("power", "degraded", "mid")
-        .choose_when("power", "bad", "safe")
-        .initial_config("full")
-        .initial_env([("power", "good")])
-        .build()
-        .expect("dst spec is structurally valid")
-}
 
 fn mix_seed(master: u64, stream: u64) -> u64 {
     // splitmix-style finalizer: decorrelates the per-purpose streams.
@@ -144,23 +102,7 @@ fn run_case(
     hits: Option<&mut BTreeMap<String, u64>>,
 ) -> Vec<PropertyViolation> {
     let _campaign = arfs_assure::install(failpoints);
-    let mut system = System::builder(spec.clone())
-        .fault_plan(faults.clone())
-        .chaos_defense(DST_DEFENSE)
-        .build()
-        .expect("validated spec builds");
-    let mut events = schedule.iter().peekable();
-    for frame in 0..HORIZON {
-        while let Some((f, factor, value)) = events.peek() {
-            if *f == frame {
-                system.set_env(factor, value).expect("enumerated values");
-                events.next();
-            } else {
-                break;
-            }
-        }
-        system.run_frame();
-    }
+    let system = replay(spec, faults, DST_DEFENSE, schedule, HORIZON);
     if let Some(hits) = hits {
         for (site, count) in arfs_assure::hit_counts() {
             *hits.entry(site).or_insert(0) += count;
@@ -235,24 +177,19 @@ fn schedule_string(schedule: &[(u64, String, String)]) -> String {
     parts.join("; ")
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    banner(if smoke {
-        "Experiment E9: deterministic-simulation failpoint campaigns (smoke)"
-    } else {
-        "Experiment E9: deterministic-simulation failpoint campaigns"
-    });
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E9: deterministic-simulation failpoint campaigns");
 
     if !arfs_assure::failpoints_enabled() {
         println!(
             "failpoints are compiled out — nothing to inject.\n\
              rebuild with `--features failpoints` to run the campaign."
         );
-        return;
+        return ExitCode::SUCCESS;
     }
 
-    let spec = dst_spec();
-    let seeds: u64 = if smoke { 16 } else { 96 };
+    let spec = three_level_spec(2);
+    let seeds: u64 = if run.smoke { 16 } else { 96 };
     let oracle = InvariantOracle::new(Arc::new(spec.clone()), OracleProfile::Soak);
     let menu_owned = dst_menu();
     let menu: Vec<(&str, &[FpAction])> = menu_owned
@@ -333,7 +270,7 @@ fn main() {
     }
     println!("{table}");
     let campaigns_clean = failures.is_empty();
-    verdict(
+    run.verdict(
         &format!("{seeds} seeded campaigns: every armed menu fault absorbed (oracle clean)"),
         campaigns_clean,
     );
@@ -363,7 +300,7 @@ fn main() {
         }
         report.is_clean()
     };
-    verdict(
+    run.verdict(
         "fleet report clean with journal batches dropped mid-run",
         fleet_clean,
     );
@@ -395,7 +332,7 @@ fn main() {
         }
         deferred.is_empty() && late.len() == 1 && late[0].message.topic() == "cmd"
     };
-    verdict(
+    run.verdict(
         "armed drain returned empty, next drain delivered late",
         drain_clean,
     );
@@ -413,7 +350,7 @@ fn main() {
         .filter(|site| hits.get(*site).copied().unwrap_or(0) == 0)
         .collect();
     let covered = uncovered.is_empty();
-    verdict(
+    run.verdict(
         &format!(
             "all {} menu sites exercised{}",
             menu_owned.len(),
@@ -428,7 +365,6 @@ fn main() {
 
     let all_ok = campaigns_clean && fleet_clean && drain_clean && covered;
     let artifact = serde_json::json!({
-        "smoke": smoke,
         "horizon": HORIZON,
         "seeds": seeds,
         "max_failpoints": MAX_FAILPOINTS,
@@ -449,9 +385,5 @@ fn main() {
         "site_hits": hits,
         "all_ok": all_ok,
     });
-    let path = write_json("BENCH_dst.json", &artifact);
-    println!("\nartifact: {}", path.display());
-    if !all_ok {
-        std::process::exit(1);
-    }
+    run.finish("BENCH_dst.json", &artifact)
 }

@@ -6,9 +6,9 @@
 //! Five sweeps:
 //!
 //! 1. **Fleet size** — 10³ and 10⁴ systems (plus 10⁵ in the full run)
-//!    under the default random workload, reporting frames/sec,
-//!    frames/sec/core, reconfigurations, and the streaming verification
-//!    verdict. Every violation would carry its seed and schedule for
+//!    under the default random workload, five runs each, reporting
+//!    median [min, max] frames/sec, reconfigurations, and the streaming
+//!    verification verdict. Every violation would carry its seed and schedule for
 //!    replay; a clean fleet is the expected outcome. Throughput divides
 //!    by the **frame-loop** seconds only ([`Fleet::run_timed`]); the
 //!    journal-writer drain and aggregation get their own columns in the
@@ -20,8 +20,8 @@
 //!    efficiency numbers show exactly that.
 //! 3. **Observability overhead** — the 10⁴ fleet with everything off
 //!    (no rings, no journal sampling) versus the sweep-1 fully
-//!    instrumented run. Full observability must cost **under 10%**
-//!    fleet throughput; the gate fails the run (exit 3) otherwise.
+//!    instrumented runs, in five pairs that alternate which side runs
+//!    first. An instrumented frame may take at most **10%** longer.
 //! 4. **Forced-violation triage** — one system of the 10⁴ fleet is
 //!    seeded with a skip-Init SCRAM defect; the streaming verifier
 //!    must flag it and its flight ring must drain into a
@@ -31,29 +31,23 @@
 //! 5. **Allocation probe** — this binary installs a counting global
 //!    allocator and measures heap allocations per steady-state frame on
 //!    a warmed-up quiet fleet *with flight rings enabled*. The fast
-//!    path's contract is **zero**; the measured number is recorded and
-//!    gated.
-//!
-//! The harness gates on its own previous artifact
-//! (`results/BENCH_fleet.json`): if the 10⁴ fleet's frames/sec drops
-//! more than 25% against the recorded run, or the allocation probe stops
-//! reading zero, the run fails. A missing or unparsable previous
-//! artifact just records a fresh baseline.
+//!    path's contract is **zero**.
 //!
 //! Usage: `exp_fleet [--smoke]` — `--smoke` drops the 10⁵ case and
-//! trims the thread sweep (the CI entry point).
-//!
-//! Exit codes: `0` clean, `1` an unexpected property violation, a
-//! missing forced-violation bundle, or a non-zero allocation count,
-//! `3` a throughput regression against the previous artifact or an
-//! observability overhead above 10%.
+//! trims the thread sweep (the CI entry point). Exits 1 on an
+//! unexpected violation, a missed forced violation or a non-zero
+//! allocation count; exits 3 when the observability gate fires or a
+//! sweep-1 case's median frames/sec (five runs) regresses against the
+//! last `results/BENCH_fleet.json` from the same core count and mode.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arfs_avionics::avionics_spec;
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{
+    banner, recorded, Better, ExitCode, Run, Samples, TextTable, RECORDING_FLOOR, SAMPLES,
+};
 use arfs_core::fleet::{Fleet, FleetConfig, FleetReport, FleetTimings};
 use arfs_core::scram::ScramMutation;
 use arfs_core::spec::ReconfigSpec;
@@ -83,40 +77,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The case whose throughput is gated against the previous artifact.
-const REGRESSION_CASE: &str = "fleet_10k";
-
-/// How much the gated throughput may drop versus its previous recording
-/// before the run fails with exit code 3.
-const REGRESSION_TOLERANCE: f64 = 1.25;
-
 const MASTER_SEED: u64 = 0xF1EE7;
 
-/// Full observability (rings + sampled journaling + metrics) may cost at
-/// most this fraction of obs-off fleet throughput before the overhead
-/// gate fails the run with exit code 3.
+/// Full observability (rings + sampled journaling + metrics) may make a
+/// frame at most this fraction slower than with observability off
+/// before the overhead gate fails the run with exit code 3.
 const OBS_OVERHEAD_BUDGET: f64 = 0.10;
+
+/// The fleet size whose instrumented runs double as the obs-on side of
+/// the observability pairs.
+const OBS_SYSTEMS: usize = 10_000;
 
 /// The system seeded with the SCRAM defect in the forced-violation
 /// triage sweep (arbitrary mid-fleet id; determinism pins its seed).
 const MUTATED_SYSTEM: usize = 4_242;
-
-/// The previous run's artifact, if one exists and still parses.
-fn prior_artifact() -> Option<serde_json::Value> {
-    let path = arfs_bench::results_dir().join("BENCH_fleet.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-fn prior_case_f64(prior: &serde_json::Value, case: &str, key: &str) -> Option<f64> {
-    prior
-        .get("cases")?
-        .as_seq()?
-        .iter()
-        .find(|c| c.get("case").and_then(|v| v.as_str()) == Some(case))?
-        .get(key)?
-        .as_f64()
-}
 
 fn fleet_config(systems: usize, threads: usize) -> FleetConfig {
     FleetConfig {
@@ -129,23 +103,39 @@ fn fleet_config(systems: usize, threads: usize) -> FleetConfig {
     }
 }
 
-struct CaseResult {
-    report: FleetReport,
-    timings: FleetTimings,
+/// Repeated runs of one fleet configuration. The report is a pure
+/// function of the configuration, so the last run's stands for all; the
+/// timings are kept per run.
+#[derive(Default)]
+struct Sampled {
+    report: Option<FleetReport>,
+    timings: Vec<FleetTimings>,
 }
 
-impl CaseResult {
+impl Sampled {
+    /// Runs `config` once more.
+    fn run(&mut self, spec: &Arc<ReconfigSpec>, config: &FleetConfig) {
+        let mut fleet = Fleet::new(Arc::clone(spec), config.clone()).expect("fleet builds");
+        let (report, timings) = fleet.run_timed().expect("journal writer is healthy");
+        self.report = Some(report);
+        self.timings.push(timings);
+    }
+
+    fn report(&self) -> &FleetReport {
+        self.report.as_ref().expect("at least one run")
+    }
+
+    /// One timing across the runs.
+    fn timing(&self, field: impl Fn(&FleetTimings) -> f64) -> Samples {
+        Samples(self.timings.iter().map(field).collect())
+    }
+
     /// Throughput over the lockstep frame loop only; journal drain and
     /// aggregation are reported separately rather than deflating this.
-    fn frames_per_sec(&self) -> f64 {
-        self.report.total_frames as f64 / self.timings.frame_loop_secs.max(1e-9)
+    fn frames_per_sec(&self) -> Samples {
+        let frames = self.report().total_frames as f64;
+        self.timing(|t| frames / t.frame_loop_secs.max(1e-9))
     }
-}
-
-fn run_case(spec: &Arc<ReconfigSpec>, config: FleetConfig) -> CaseResult {
-    let mut fleet = Fleet::new(Arc::clone(spec), config).expect("fleet builds");
-    let (report, timings) = fleet.run_timed().expect("journal writer is healthy");
-    CaseResult { report, timings }
 }
 
 /// Measures heap allocations per steady-state frame: a quiet 256-system
@@ -175,20 +165,14 @@ fn measure_allocs_per_frame(spec: &Arc<ReconfigSpec>) -> f64 {
     (after - before) as f64 / (frames * systems as u64) as f64
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let cores: usize = std::thread::available_parallelism()
-        .map(Into::into)
-        .unwrap_or(1);
-    banner(if smoke {
-        "fleet-scale simulation (smoke)"
-    } else {
-        "fleet-scale simulation"
-    });
+fn main() -> ExitCode {
+    let mut run = Run::start("fleet-scale simulation");
+    let (smoke, cores) = (run.smoke, run.cores);
     println!("host cores: {cores}");
 
     let spec = Arc::new(avionics_spec().expect("valid spec"));
-    let prior = prior_artifact();
+    let baseline = run.baseline("BENCH_fleet.json");
+    let threads = cores.clamp(1, 4);
 
     // Untimed warm-up: grow the allocator arena past a 10⁴-system
     // footprint (systems, rings, journals) so the timed sweeps measure
@@ -196,7 +180,7 @@ fn main() {
     {
         let config = FleetConfig {
             horizon: 8,
-            ..fleet_config(10_000, cores.clamp(1, 4))
+            ..fleet_config(10_000, threads)
         };
         Fleet::new(Arc::clone(&spec), config)
             .expect("fleet builds")
@@ -205,16 +189,12 @@ fn main() {
         println!("warm-up: 10k systems x 8 frames (untimed)");
     }
 
-    // --- Sweep 1: fleet size. ---
-    let sizes: &[(usize, &str)] = if smoke {
-        &[(1_000, "fleet_1k"), (10_000, "fleet_10k")]
-    } else {
-        &[
-            (1_000, "fleet_1k"),
-            (10_000, "fleet_10k"),
-            (100_000, "fleet_100k"),
-        ]
-    };
+    // --- Sweep 1: fleet size, each case sampled and gated. ---
+    let sizes = [
+        (1_000, "fleet_1k"),
+        (10_000, "fleet_10k"),
+        (100_000, "fleet_100k"),
+    ];
 
     let mut table = TextTable::new([
         "case",
@@ -224,18 +204,36 @@ fn main() {
         "reconfigs",
         "violations",
         "secs",
-        "frames/s",
-        "frames/s/core",
+        "frames/s median [min, max]",
     ]);
     let mut cases = Vec::new();
     let mut all_clean = true;
-    let mut gated_frames_per_sec = None;
-    let mut gated_journal = None;
+    let obs_off_config = FleetConfig {
+        journal_sample: 0,
+        ring_capacity: 0,
+        ..fleet_config(OBS_SYSTEMS, threads)
+    };
+    let mut obs_off = Sampled::default();
+    let mut obs_on = None;
+    let mut sampled_journal = None;
 
-    for &(systems, name) in sizes {
-        let threads = cores.clamp(1, 4);
-        let result = run_case(&spec, fleet_config(systems, threads));
-        let report = &result.report;
+    for &(systems, name) in &sizes[..if smoke { 2 } else { 3 }] {
+        let config = fleet_config(systems, threads);
+        let paired = systems == OBS_SYSTEMS;
+        let mut case = Sampled::default();
+        for round in 0..SAMPLES {
+            // The observability pairs alternate which side runs first, so
+            // neither always meets the warmer allocator and caches.
+            let off_first = paired && round % 2 == 1;
+            if off_first {
+                obs_off.run(&spec, &obs_off_config);
+            }
+            case.run(&spec, &config);
+            if paired && !off_first {
+                obs_off.run(&spec, &obs_off_config);
+            }
+        }
+        let report = case.report();
         all_clean &= report.is_clean();
         for v in report.violations.iter().take(3) {
             println!(
@@ -243,11 +241,8 @@ fn main() {
                 v.system, v.seed, v.property, v.frame, v.detail
             );
         }
-        let frames_per_sec = result.frames_per_sec();
-        if name == REGRESSION_CASE {
-            gated_frames_per_sec = Some(frames_per_sec);
-            gated_journal = Some(report.journal.as_slice().to_vec());
-        }
+        let fps = case.frames_per_sec();
+        let frame_loop = case.timing(|t| t.frame_loop_secs);
         table.row([
             name.to_string(),
             systems.to_string(),
@@ -258,10 +253,10 @@ fn main() {
             ),
             report.reconfigs.to_string(),
             report.violations.len().to_string(),
-            format!("{:.2}", result.timings.frame_loop_secs),
-            format!("{frames_per_sec:.0}"),
-            format!("{:.0}", frames_per_sec / cores as f64),
+            format!("{:.2}", frame_loop.median()),
+            format!("{fps:.0}"),
         ]);
+        let last_timings = case.timings.last().expect("at least one run");
         cases.push(serde_json::json!({
             "case": name,
             "systems": systems,
@@ -275,26 +270,25 @@ fn main() {
             "violations": report.violations.len(),
             "journal_events": report.journal_events,
             "journal_bytes": report.journal.len(),
-            "secs": result.timings.total_secs(),
-            "frame_loop_secs": result.timings.frame_loop_secs,
-            "journal_finish_secs": result.timings.journal_finish_secs,
-            "aggregate_secs": result.timings.aggregate_secs,
-            "frames_per_sec": frames_per_sec,
-            "frames_per_sec_per_core": frames_per_sec / cores as f64,
+            "frame_loop_secs": frame_loop,
+            "journal_finish_secs": case.timing(|t| t.journal_finish_secs),
+            "aggregate_secs": case.timing(|t| t.aggregate_secs),
+            "frames_per_sec": fps,
             "metrics": report.metrics,
-            "rollup": report.rollup_metrics(&result.timings, cores).snapshot(),
+            "rollup": report.rollup_metrics(last_timings, cores).snapshot(),
         }));
-        println!(
-            "{name}: {} systems x {} frames in {:.2}s frame loop + {:.2}s journal/aggregate \
-             ({:.0} frames/s), {} reconfigs, {} violations",
-            systems,
-            report.horizon,
-            result.timings.frame_loop_secs,
-            result.timings.journal_finish_secs + result.timings.aggregate_secs,
-            frames_per_sec,
-            report.reconfigs,
-            report.violations.len()
+        let prev = recorded(baseline.as_ref(), &["cases", name, "frames_per_sec"]);
+        run.gate(
+            &format!("{name} frames/s"),
+            Better::Higher,
+            RECORDING_FLOOR,
+            prev.as_ref(),
+            &fps,
         );
+        if paired {
+            sampled_journal = Some(report.journal.as_slice().to_vec());
+            obs_on = Some(fps);
+        }
     }
     println!("\n{table}");
 
@@ -306,16 +300,17 @@ fn main() {
     let mut scaling = Vec::new();
     let mut base_secs = None;
     for &threads in thread_counts {
-        let result = run_case(&spec, fleet_config(10_000, threads));
-        all_clean &= result.report.is_clean();
+        let mut result = Sampled::default();
+        result.run(&spec, &fleet_config(10_000, threads));
+        all_clean &= result.report().is_clean();
         let fps = result.frames_per_sec();
-        let secs = result.timings.frame_loop_secs;
-        let base = *base_secs.get_or_insert(secs);
-        let speedup = base / secs.max(1e-9);
+        let secs = result.timing(|t| t.frame_loop_secs);
+        let base = *base_secs.get_or_insert(secs.median());
+        let speedup = base / secs.median().max(1e-9);
         scaling_table.row([
             threads.to_string(),
-            format!("{secs:.2}"),
-            format!("{fps:.0}"),
+            format!("{:.2}", secs.median()),
+            format!("{:.0}", fps.median()),
             format!("{speedup:.2}x"),
             format!("{:.0}%", 100.0 * speedup / threads as f64),
         ]);
@@ -333,63 +328,48 @@ fn main() {
     }
 
     // --- Sweep 3: observability overhead at 10⁴ systems. ---
-    // A dedicated back-to-back pair rather than reusing the sweep-1
-    // number: the two runs must see the same allocator and cache state
-    // for the delta to be an observability cost and not noise.
+    // The obs-on side is sweep 1's instrumented 10⁴ runs; each was
+    // paired back to back with an obs-off run.
     banner("observability overhead (10^4 systems)");
-    let threads = cores.clamp(1, 4);
-    let off = run_case(
-        &spec,
-        FleetConfig {
-            journal_sample: 0,
-            ring_capacity: 0,
-            ..fleet_config(10_000, threads)
-        },
-    );
-    let on = run_case(&spec, fleet_config(10_000, threads));
-    all_clean &= off.report.is_clean() && on.report.is_clean();
-    let fps_off = off.frames_per_sec();
-    let fps_on = on.frames_per_sec();
-    let overhead = 1.0 - fps_on / fps_off.max(1e-9);
-    let obs_ok = fps_on >= fps_off * (1.0 - OBS_OVERHEAD_BUDGET);
+    all_clean &= obs_off.report().is_clean();
+    let fps_off = obs_off.frames_per_sec();
+    let fps_on = obs_on.expect("the 10^4 case always runs");
     println!(
-        "obs off: {fps_off:.0} frames/s | obs on (rings + journal + metrics): {fps_on:.0} \
-         frames/s | overhead {:.1}%",
-        100.0 * overhead
+        "obs off: {:.0} frames/s | obs on (rings + journal + metrics): {:.0} frames/s | \
+         medians of {SAMPLES} alternating pairs; an instrumented frame takes {:.1}% longer \
+         (budget {:.0}%)",
+        fps_off.median(),
+        fps_on.median(),
+        100.0 * (fps_off.median() / fps_on.median().max(1e-9) - 1.0),
+        100.0 * OBS_OVERHEAD_BUDGET
     );
-    verdict(
-        &format!(
-            "full observability costs {:.1}% fleet throughput (budget {:.0}%)",
-            100.0 * overhead,
-            100.0 * OBS_OVERHEAD_BUDGET
-        ),
-        obs_ok,
+    run.gate(
+        "observability overhead (obs-on vs obs-off frames/s)",
+        Better::Higher,
+        OBS_OVERHEAD_BUDGET,
+        Some(&fps_off),
+        &fps_on,
     );
     let obs = serde_json::json!({
-        "systems": 10_000,
+        "systems": OBS_SYSTEMS,
         "threads": threads,
         "frames_per_sec_obs_off": fps_off,
         "frames_per_sec_obs_on": fps_on,
-        "overhead_fraction": overhead,
-        "budget_fraction": OBS_OVERHEAD_BUDGET,
-        "within_budget": obs_ok,
     });
 
     // --- Sweep 4: forced-violation triage at 10⁴ systems. ---
     banner("forced-violation triage (10^4 systems)");
-    let forced = run_case(
+    let mut forced = Sampled::default();
+    forced.run(
         &spec,
-        FleetConfig {
+        &FleetConfig {
             mutate_system: Some((MUTATED_SYSTEM, ScramMutation::SkipInitPhase)),
             ..fleet_config(10_000, threads)
         },
     );
-    let caught = forced
-        .report
-        .violations
-        .iter()
-        .any(|v| v.system == MUTATED_SYSTEM);
-    let bundle = forced.report.bundles.iter().find(|b| {
+    let forced = forced.report();
+    let caught = forced.violations.iter().any(|v| v.system == MUTATED_SYSTEM);
+    let bundle = forced.bundles.iter().find(|b| {
         b.system == MUTATED_SYSTEM && b.trigger == arfs_core::obs::triage::trigger::STREAM_VERIFIER
     });
     let bundle_renderable =
@@ -407,20 +387,19 @@ fn main() {
         );
         bundle_path = Some(path);
     }
-    verdict(
+    run.verdict(
         "seeded skip-Init defect caught by the streaming verifier",
         caught,
     );
-    verdict(
+    run.verdict(
         "violation drained into a renderable triage bundle (ring + causal chain)",
         bundle_renderable,
     );
-    let forced_ok = caught && bundle_renderable;
     let forced_json = serde_json::json!({
         "systems": 10_000,
         "mutated_system": MUTATED_SYSTEM,
         "mutation": "skip-init-phase",
-        "violations": forced.report.violations.len(),
+        "violations": forced.violations.len(),
         "caught": caught,
         "bundle_renderable": bundle_renderable,
         "bundle": bundle_path.as_ref().map(|p| p.display().to_string()),
@@ -429,65 +408,34 @@ fn main() {
     // The sampled binary journal of the instrumented 10⁴ run, for
     // `arfs-trace fleet top` / `summarize` / `decode` downstream.
     let journal_path = arfs_bench::results_dir().join("exp_fleet.journal.bin");
-    std::fs::write(&journal_path, gated_journal.expect("fleet_10k always runs"))
-        .expect("results dir is writable");
+    std::fs::write(
+        &journal_path,
+        sampled_journal.expect("fleet_10k always runs"),
+    )
+    .expect("results dir is writable");
     println!("sampled journal: {}", journal_path.display());
 
     // --- Sweep 5: allocation probe. ---
     banner("steady-state allocation probe");
     let allocs_per_frame = measure_allocs_per_frame(&spec);
-    let alloc_free = allocs_per_frame == 0.0;
-    verdict(
+    run.verdict(
         &format!("steady-state frames allocation-free ({allocs_per_frame} allocs/frame)"),
-        alloc_free,
+        allocs_per_frame == 0.0,
     );
 
-    verdict(
+    run.verdict(
         "streaming SP1-SP4 verification clean on every fleet",
         all_clean,
     );
 
-    // --- Bench-regression gate against the previous artifact. ---
-    banner("bench-regression gate");
-    let mut bench_regressed = false;
-    if let Some(new_fps) = gated_frames_per_sec {
-        match prior
-            .as_ref()
-            .and_then(|p| prior_case_f64(p, REGRESSION_CASE, "frames_per_sec"))
-        {
-            Some(prev) => {
-                let ok = new_fps >= prev / REGRESSION_TOLERANCE;
-                verdict(
-                    &format!(
-                        "{REGRESSION_CASE} throughput {new_fps:.0} frames/s within 25% of recorded {prev:.0}"
-                    ),
-                    ok,
-                );
-                bench_regressed |= !ok;
-            }
-            None => println!("{REGRESSION_CASE}: no prior recording; baseline set"),
-        }
-    }
-
-    let path = write_json(
+    run.finish(
         "BENCH_fleet.json",
-        &serde_json::json!({
-            "experiment": "exp_fleet",
-            "smoke": smoke,
-            "cores": cores,
+        serde_json::json!({
             "allocs_per_frame": allocs_per_frame,
             "cases": cases,
             "scaling": scaling,
             "obs": obs,
             "forced_triage": forced_json,
         }),
-    );
-    println!("artifact: {}", path.display());
-
-    if !all_clean || !alloc_free || !forced_ok {
-        std::process::exit(1);
-    }
-    if bench_regressed || !obs_ok {
-        std::process::exit(3);
-    }
+    )
 }

@@ -15,11 +15,11 @@
 //! sized for masking's total can run with "no excess equipment" — is
 //! verified on the numbers.
 
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{ExitCode, Run, TextTable};
 use arfs_core::analysis::resources::{model_from_spec, sweep, ResourceModel};
 
-fn main() {
-    banner("Experiment E1: masking vs. reconfiguration hardware (§5.1)");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E1: masking vs. reconfiguration hardware (§5.1)");
 
     let spec = arfs_avionics::avionics_spec().expect("valid spec");
     let avionics_model = model_from_spec(&spec);
@@ -69,11 +69,11 @@ fn main() {
         artifacts.push(serde_json::json!({ "label": label, "points": points }));
     }
 
-    verdict(
+    run.verdict(
         "reconfiguration never needs more hardware than masking",
         all_hold,
     );
-    verdict(
+    run.verdict(
         "savings equal (full - safe) service size, independent of failure count",
         all_hold,
     );
@@ -88,7 +88,7 @@ fn main() {
     };
     let f = 2;
     let carried = m.reconfiguration_units(f);
-    verdict(
+    run.verdict(
         "a reconfiguration platform sized for the worst case can run full service with no spares idle",
         carried >= m.full_service_units,
     );
@@ -97,6 +97,5 @@ fn main() {
         carried, f, m.safe_service_units, m.full_service_units
     );
 
-    let path = write_json("exp_masking_vs_reconfig.json", &artifacts);
-    println!("\nartifact: {}", path.display());
+    run.finish("exp_masking_vs_reconfig.json", &artifacts)
 }

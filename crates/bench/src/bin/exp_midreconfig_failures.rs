@@ -11,13 +11,13 @@
 //! compares: final configuration, total restricted frames, and whether
 //! SP1–SP4 still hold (they must, under both).
 
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{write_observability, ExitCode, Run, TextTable};
 use arfs_core::properties;
 use arfs_core::scram::MidReconfigPolicy;
 use arfs_core::system::System;
 
-fn main() {
-    banner("Experiment E4: failures during reconfiguration (§5.3 policies)");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E4: failures during reconfiguration (§5.3 policies)");
 
     let mut table = TextTable::new([
         "2nd failure offset",
@@ -71,14 +71,7 @@ fn main() {
                 // One journal per policy at the same offset, so
                 // `arfs-trace diff` shows exactly where the two §5.3
                 // policies diverge.
-                write_text(
-                    &format!("exp_midreconfig_{label}.journal.jsonl"),
-                    &system.journal().to_json_lines(),
-                );
-                write_json(
-                    &format!("exp_midreconfig_{label}.metrics.json"),
-                    &system.metrics_snapshot(),
-                );
+                write_observability(&format!("exp_midreconfig_{label}"), &system);
             }
             table.row([
                 format!("+{offset} frames"),
@@ -105,18 +98,17 @@ fn main() {
     }
     println!("{table}");
 
-    verdict(
+    run.verdict(
         "both policies end in minimal-service with SP1-SP4 intact",
         all_ok,
     );
     println!(
         "\ntotal restricted frames — immediate retarget: {immediate_total}, buffered: {buffered_total}"
     );
-    verdict(
+    run.verdict(
         "immediate retargeting restricts service for no longer than buffering",
         immediate_total <= buffered_total,
     );
 
-    let path = write_json("exp_midreconfig_failures.json", &points);
-    println!("\nartifact: {}", path.display());
+    run.finish("exp_midreconfig_failures.json", &points)
 }

@@ -15,14 +15,14 @@
 //! | simultaneous   |   4    |             3             |
 //! | phase-checked  |  3+W   |            2+W            |
 
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{banner, ExitCode, Run, TextTable};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties;
 use arfs_core::scram::{StagePolicy, SyncPolicy};
 use arfs_core::system::System;
 
-fn main() {
-    banner("Experiment E5: protocol ablation (§6.3 variations of Table 1)");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E5: protocol ablation (§6.3 variations of Table 1)");
 
     let variants: Vec<(&str, SyncPolicy, StagePolicy)> = vec![
         (
@@ -90,11 +90,11 @@ fn main() {
     }
     println!("{table}");
 
-    verdict(
+    run.verdict(
         "every protocol variant satisfies SP1-SP4 (+extensions)",
         all_ok,
     );
-    verdict(
+    run.verdict(
         "compression saves one cycle over Table 1; dependency waves add one per extra wave",
         cycles_seen == vec![3, 4, 5],
     );
@@ -129,16 +129,15 @@ fn main() {
         }
     }
     println!("{cases} single-event schedules explored, {failures} failures");
-    verdict("compressed protocol is exhaustively clean", failures == 0);
+    run.verdict("compressed protocol is exhaustively clean", failures == 0);
 
     // And the signalled baseline via the standard model checker.
     let report = ModelChecker::new(arfs_avionics::avionics_spec().expect("valid spec"), 26, 1)
         .run_parallel(4);
-    verdict(
+    run.verdict(
         "signalled baseline is exhaustively clean",
         report.all_passed(),
     );
 
-    let path = write_json("exp_protocol_ablation.json", &points);
-    println!("\nartifact: {}", path.display());
+    run.finish("exp_protocol_ablation.json", &points)
 }

@@ -8,13 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{write_observability, ExitCode, Run, TextTable};
 use arfs_core::properties;
 use arfs_core::stats::trace_stats;
 use arfs_core::workload::{scenario_batch, WorkloadConfig};
 
-fn main() {
-    banner("Experiment E6: randomized long-horizon soak");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E6: randomized long-horizon soak");
 
     let config = WorkloadConfig {
         horizon: 200,
@@ -71,14 +71,7 @@ fn main() {
             }
             if !first_run_saved {
                 first_run_saved = true;
-                write_text(
-                    &format!("exp_random_soak.{slug}.journal.jsonl"),
-                    &system.journal().to_json_lines(),
-                );
-                write_json(
-                    &format!("exp_random_soak.{slug}.metrics.json"),
-                    &system.metrics_snapshot(),
-                );
+                write_observability(&format!("exp_random_soak.{slug}"), &system);
             }
         }
         all_clean &= violations == 0;
@@ -102,11 +95,10 @@ fn main() {
         }));
     }
     println!("{table}");
-    verdict(
+    run.verdict(
         "all soak traces satisfy SP1-SP4 and the extension checks",
         all_clean,
     );
 
-    let path = write_json("exp_random_soak.json", &artifacts);
-    println!("\nartifact: {}", path.display());
+    run.finish("exp_random_soak.json", &artifacts)
 }

@@ -13,7 +13,7 @@
 //! 3. **Cyclic reconfiguration** is detectable by static analysis of the
 //!    permissible transitions, and the dwell guard bounds it.
 
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{banner, ExitCode, Run, TextTable};
 use arfs_core::analysis::timing;
 use arfs_core::properties;
 use arfs_core::spec::{AppDecl, Configuration, FunctionalSpec, ReconfigSpec};
@@ -74,8 +74,8 @@ fn chain_spec(k: usize, with_direct: bool) -> ReconfigSpec {
         .expect("chain spec is valid")
 }
 
-fn main() {
-    banner("Experiment E2: worst-case restriction time (§5.3)");
+fn main() -> ExitCode {
+    let mut run = Run::start("Experiment E2: worst-case restriction time (§5.3)");
 
     // --- Part 1 & 2: analytic bounds across chain lengths. ---
     let mut table = TextTable::new([
@@ -117,11 +117,11 @@ fn main() {
         }));
     }
     println!("{table}");
-    verdict(
+    run.verdict(
         "measured worst-case restriction never exceeds the chain bound",
         all_bounded,
     );
-    verdict(
+    run.verdict(
         "interposed-safe bound is constant while the chain bound grows linearly",
         {
             let first: u64 = points[0]["interposed_bound_ticks"].as_u64().unwrap();
@@ -170,22 +170,21 @@ fn main() {
                 .join(" -> ")
         );
     }
-    verdict(
+    run.verdict(
         "cycles detected statically (failure/repair loops)",
         !cycles.is_empty(),
     );
-    verdict(
+    run.verdict(
         "cycles are guarded by a positive minimum dwell",
         spec.min_dwell_frames() > 0,
     );
     let acyclic = chain_spec(4, false);
-    verdict(
+    run.verdict(
         "pure degradation chains are reported cycle-free",
         timing::transition_cycles(&acyclic).is_empty(),
     );
 
-    let path = write_json("exp_restriction_time.json", &points);
-    println!("\nartifact: {}", path.display());
+    run.finish("exp_restriction_time.json", &points)
 }
 
 /// Runs the worst-case cascade on a chain spec: each level change lands

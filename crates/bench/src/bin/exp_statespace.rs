@@ -30,27 +30,23 @@
 //! The harness also measures the substrate fork cost directly — the
 //! price the prefix-sharing walk pays at every branch point, on a
 //! system carrying 200 frames of history the way the checker builds
-//! them — and gates on its own previous artifact: if the fork cost or
-//! the headline case's POR wallclock regresses more than 25% against
-//! the numbers recorded in `results/BENCH_model_check.json` from the
-//! last run, the harness fails. A missing or unparsable previous
-//! artifact (first run, format drift) just records a fresh baseline.
+//! them.
 //!
 //! Usage: `exp_statespace [--smoke]` — `--smoke` runs only the small
 //! cross-checked cases plus the mutant sweep (the CI entry point).
-//!
-//! Exit codes: `0` all verdicts pass, `1` a verification or agreement
-//! check failed, `3` a wallclock regression: the walk lost to the seed
-//! engine on the `avionics_h14_e1` guard case, or the fork cost /
-//! headline POR time regressed >25% against the previous artifact.
-
-use std::time::Instant;
+//! Exits 1 on a failed verification or agreement check; exits 3 when
+//! the walk loses to the seed engine on `avionics_h14_e1`, or the fork
+//! cost or the `exhaustive_h30_e3_extended` POR time regresses against
+//! the last `results/BENCH_model_check.json` from the same core count
+//! and mode.
 
 use arfs_avionics::{known_bad_mutations, KNOWN_BAD_HORIZON};
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{
+    banner, recorded, write_json, write_text, Better, ExitCode, Run, Samples, TextTable,
+    RECORDING_FLOOR, SAMPLES,
+};
 use arfs_core::lint::IndependenceCertificate;
 use arfs_core::model::ModelChecker;
-use arfs_core::spec::ReconfigSpec;
 use arfs_core::system::System;
 
 /// The small case the walk must never lose to the seed engine on: a
@@ -67,55 +63,17 @@ const GUARD_CASE: &str = "avionics_h14_e1";
 const GUARD_RATIO: f64 = 1.5;
 const GUARD_FLOOR_SECS: f64 = 500e-6;
 
-/// The case whose POR wallclock is gated against the previous artifact.
-const REGRESSION_CASE: &str = "exhaustive_h30_e3_extended";
-
-/// How much a gated benchmark may grow over its previous recording
-/// before the run fails with exit code 3.
-const REGRESSION_TOLERANCE: f64 = 1.25;
-
-/// Times `f` best-of-`rounds` (small cases are noise-dominated; the
-/// minimum is the stable statistic).
-fn best_of<T>(rounds: u32, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        let value = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (out.expect("at least one round"), best)
-}
-
-/// The previous run's artifact, if one exists and still parses. Absent
-/// or stale-format files are simply "no baseline yet" — the gate only
-/// fires when it has a genuine prior number to compare against.
-fn prior_artifact() -> Option<serde_json::Value> {
-    let path = arfs_bench::results_dir().join("BENCH_model_check.json");
-    let text = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&text).ok()
-}
-
-/// A numeric field of a named case in a previous artifact's `cases`
-/// array, tolerating any missing level of the structure.
-fn prior_case_f64(prior: &serde_json::Value, case: &str, key: &str) -> Option<f64> {
-    prior
-        .get("cases")?
-        .as_seq()?
-        .iter()
-        .find(|c| c.get("case").and_then(|v| v.as_str()) == Some(case))?
-        .get(key)?
-        .as_f64()
-}
+/// The case whose POR wallclock is gated against the previous recording.
+const POR_GATE_CASE: &str = "exhaustive_h30_e3_extended";
 
 /// Measures the substrate fork cost the walk pays at every branch
 /// point, in nanoseconds: a system built the way the checker builds
 /// them (observability off) carrying 200 frames of history including
 /// several reconfigurations. With copy-on-write substrate state this
 /// must stay flat as history accumulates; a deep-copy regression shows
-/// up here first and linearly.
-fn measure_fork_cost_ns() -> f64 {
+/// up here first and linearly. Each sample is the mean of 20,000 forks
+/// (~50 ms), so a short host stall moves one sample, not the median.
+fn measure_fork_cost_ns() -> Samples {
     let spec = arfs_avionics::avionics_spec().expect("valid spec");
     let mut system = System::builder(spec)
         .observability(false)
@@ -135,39 +93,18 @@ fn measure_fork_cost_ns() -> f64 {
     for _ in 0..500 {
         std::hint::black_box(system.fork());
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let rounds = 2_000u32;
-        let t0 = Instant::now();
-        for _ in 0..rounds {
+    let forks = 20_000;
+    let (_, secs) = Samples::time(SAMPLES, || {
+        for _ in 0..forks {
             std::hint::black_box(system.fork());
         }
-        best = best.min(t0.elapsed().as_secs_f64() / rounds as f64);
-    }
-    best * 1e9
-}
-
-struct CaseSpec {
-    name: &'static str,
-    spec: ReconfigSpec,
-    horizon: u64,
-    max_events: usize,
-    /// Whether to time the seed replay engine too (skipped for the
-    /// headline case, where replaying every schedule is the point of
-    /// not having to).
-    run_reference: bool,
-}
-
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let threads = std::thread::available_parallelism()
-        .map(Into::into)
-        .unwrap_or(4);
-    banner(if smoke {
-        "state-space exploration: engine comparison (smoke)"
-    } else {
-        "state-space exploration: engine comparison"
     });
+    Samples(secs.0.iter().map(|s| s * 1e9 / forks as f64).collect())
+}
+
+fn main() -> ExitCode {
+    let mut run = Run::start("state-space exploration: engine comparison");
+    let (smoke, threads) = (run.smoke, run.cores);
 
     let avionics = arfs_avionics::avionics_spec().expect("valid spec");
     let extended = arfs_avionics::extended::extended_uav_spec().expect("valid spec");
@@ -193,46 +130,21 @@ fn main() {
         }));
     }
 
+    // (name, spec, horizon, max events, whether to time the seed replay
+    // engine too — skipped where replaying every schedule is the point of
+    // not having to)
     let mut cases = vec![
-        CaseSpec {
-            name: "avionics_h14_e1",
-            spec: avionics.clone(),
-            horizon: 14,
-            max_events: 1,
-            run_reference: true,
-        },
-        CaseSpec {
-            name: "avionics_h16_e2",
-            spec: avionics.clone(),
-            horizon: 16,
-            max_events: 2,
-            run_reference: true,
-        },
+        ("avionics_h14_e1", avionics.clone(), 14, 1, true),
+        ("avionics_h16_e2", avionics.clone(), 16, 2, true),
     ];
     if !smoke {
-        cases.push(CaseSpec {
-            name: "avionics_h22_e2",
-            spec: avionics,
-            horizon: 22,
-            max_events: 2,
-            run_reference: true,
-        });
-        cases.push(CaseSpec {
-            name: "exhaustive_h30_e3_extended",
-            spec: extended.clone(),
-            horizon: 30,
-            max_events: 3,
-            run_reference: false,
-        });
-        // The horizon the cheap forks and busy-state merging buy:
-        // exhaustive coverage of the four-app UAV spec to 50 frames.
-        cases.push(CaseSpec {
-            name: "exhaustive_h50_e3_extended",
-            spec: extended,
-            horizon: 50,
-            max_events: 3,
-            run_reference: false,
-        });
+        cases.extend([
+            ("avionics_h22_e2", avionics, 22, 2, true),
+            ("exhaustive_h30_e3_extended", extended.clone(), 30, 3, false),
+            // The horizon the cheap forks and busy-state merging buy:
+            // exhaustive coverage of the four-app UAV spec to 50 frames.
+            ("exhaustive_h50_e3_extended", extended, 50, 3, false),
+        ]);
     }
 
     let mut table = TextTable::new([
@@ -250,25 +162,37 @@ fn main() {
     let mut artifacts = Vec::new();
     let mut all_passed = true;
     let mut engines_agree = true;
-    let mut guard_regressed = false;
-    let mut headline_por_secs = None;
+    let baseline = run.baseline("BENCH_model_check.json");
 
-    for case in &cases {
-        let mc = ModelChecker::new(case.spec.clone(), case.horizon, case.max_events);
+    for (name, spec, horizon, max_events, run_reference) in cases {
+        let mc = ModelChecker::new(spec.clone(), horizon, max_events);
         let total = mc.total_schedule_count();
 
-        // Small cases finish in microseconds; best-of-3 damps the noise
-        // (and the h14/e1 guard below depends on a stable number).
-        let rounds = if total < 1_000 { 3 } else { 1 };
-        let (parallel, walk_secs) = best_of(rounds, || mc.run_parallel(threads));
+        // Small cases finish in microseconds and the h14/e1 guard below
+        // reads their medians; the gated headline case is sampled too.
+        let rounds = if total < 1_000 || name == POR_GATE_CASE {
+            SAMPLES
+        } else {
+            1
+        };
+        let (parallel, walk) = Samples::time(rounds, || mc.run_parallel(threads));
+        let walk_secs = walk.median();
         all_passed &= parallel.all_passed();
 
         // The same space under certified partial-order reduction:
         // choice-equivalence merging + quiescent fingerprint dedup.
-        let por_mc = ModelChecker::new(case.spec.clone(), case.horizon, case.max_events).with_por();
-        let (por, por_secs) = best_of(rounds, || por_mc.run_parallel(threads));
-        if case.name == REGRESSION_CASE {
-            headline_por_secs = Some(por_secs);
+        let por_mc = ModelChecker::new(spec, horizon, max_events).with_por();
+        let (por, por_time) = Samples::time(rounds, || por_mc.run_parallel(threads));
+        let por_secs = por_time.median();
+        if name == POR_GATE_CASE {
+            let prev = recorded(baseline.as_ref(), &["cases", POR_GATE_CASE, "por_secs"]);
+            run.gate(
+                &format!("{POR_GATE_CASE} POR seconds"),
+                Better::Lower,
+                RECORDING_FLOOR,
+                prev.as_ref(),
+                &por_time,
+            );
         }
         all_passed &= por.all_passed();
         engines_agree &= por.all_passed() == parallel.all_passed();
@@ -277,24 +201,30 @@ fn main() {
         // The true seed engine replayed every schedule — elision is an
         // optimization of this PR — so its work is total × horizon
         // frames regardless of which engine stands in for it here.
-        let seed_equiv_frames = (total as u64) * case.horizon;
-        let (seed_secs, speedup) = if case.run_reference {
-            let (reference, secs) = best_of(rounds, || mc.run_reference());
+        let seed_equiv_frames = (total as u64) * horizon;
+        let seed = run_reference.then(|| {
+            let (reference, seed) = Samples::time(rounds, || mc.run_reference());
             engines_agree &= reference == parallel;
             engines_agree &= reference.all_passed() == por.all_passed();
-            if case.name == GUARD_CASE
-                && walk_secs > secs * GUARD_RATIO
-                && walk_secs - secs > GUARD_FLOOR_SECS
-            {
-                guard_regressed = true;
-            }
-            (Some(secs), Some(secs / walk_secs))
-        } else {
-            (None, None)
-        };
+            seed
+        });
+        if let (GUARD_CASE, Some(seed)) = (name, &seed) {
+            // Both bands as one tolerance: the walk may take 1.5x the
+            // seed engine, or the seed time plus the absolute floor.
+            let floor = (GUARD_RATIO - 1.0).max(GUARD_FLOOR_SECS / seed.median());
+            run.gate(
+                &format!("{GUARD_CASE} walk seconds vs the seed engine"),
+                Better::Lower,
+                floor,
+                Some(seed),
+                &walk,
+            );
+        }
+        let seed_secs = seed.as_ref().map(Samples::median);
+        let speedup = seed_secs.map(|s| s / walk_secs);
 
         table.row([
-            case.name.to_string(),
+            name.to_string(),
             total.to_string(),
             parallel.cases_run.to_string(),
             parallel.cases_elided.to_string(),
@@ -306,9 +236,9 @@ fn main() {
             format!("{:.1}x", walk_secs / por_secs.max(1e-9)),
         ]);
         artifacts.push(serde_json::json!({
-            "case": case.name,
-            "horizon": case.horizon,
-            "max_events": case.max_events,
+            "case": name,
+            "horizon": horizon,
+            "max_events": max_events,
             "threads": threads,
             "schedules_total": total,
             "trie_nodes": parallel.cases_run,
@@ -316,15 +246,15 @@ fn main() {
             "frames_walk": parallel.frames_simulated,
             "frames_seed_equivalent": seed_equiv_frames,
             "frame_reduction": seed_equiv_frames as f64 / parallel.frames_simulated.max(1) as f64,
-            "walk_secs": walk_secs,
+            "walk_secs": walk,
             "walk_cases_per_sec": total as f64 / walk_secs.max(1e-9),
-            "seed_secs": seed_secs,
+            "seed_secs": seed,
             "seed_cases_per_sec": seed_secs.map(|s| total as f64 / s.max(1e-9)),
             "speedup_wallclock": speedup,
             "por_cases_run": por.cases_run,
             "por_cases_merged": por.cases_merged,
             "por_frames_walk": por.frames_simulated,
-            "por_secs": por_secs,
+            "por_secs": por_time,
             "por_gain_wallclock": walk_secs / por_secs.max(1e-9),
             "all_passed": parallel.all_passed(),
             "profile": parallel.metrics,
@@ -332,19 +262,15 @@ fn main() {
         }));
         println!(
             "{}: {} ({} frames, {:.3}s walk / {:.3}s por, {} threads)",
-            case.name, por, parallel.frames_simulated, walk_secs, por_secs, threads
+            name, por, parallel.frames_simulated, walk_secs, por_secs, threads
         );
     }
 
     println!("\n{table}");
-    verdict("SP1-SP4 hold on every explored schedule", all_passed);
-    verdict(
+    run.verdict("SP1-SP4 hold on every explored schedule", all_passed);
+    run.verdict(
         "walk, POR, and seed engines report identical outcomes",
         engines_agree,
-    );
-    verdict(
-        &format!("walk within noise band of the seed engine on {GUARD_CASE}"),
-        !guard_regressed,
     );
 
     // The verification-of-the-verifier sweep: every known-bad mutation
@@ -357,9 +283,7 @@ fn main() {
     for (slug, mutation) in known_bad_mutations() {
         let mc = ModelChecker::new(avionics.clone(), KNOWN_BAD_HORIZON, 1)
             .with_mutation(mutation.clone());
-        let t0 = Instant::now();
-        let report = mc.run_parallel(threads);
-        let secs = t0.elapsed().as_secs_f64();
+        let (report, secs) = Samples::time(1, || mc.run_parallel(threads));
         let caught = !report.all_passed();
         all_caught &= caught;
         let artifact = report.counterexample.as_ref().map(|ce| {
@@ -391,70 +315,30 @@ fn main() {
             "profile": report.metrics,
         }));
     }
-    verdict(
+    run.verdict(
         "every known-bad mutant caught with a counterexample artifact",
         all_caught,
     );
 
-    // --- Bench-regression gate against the previous artifact. ---
-    // Two wallclock numbers the COW substrate is responsible for: the
-    // per-branch fork cost, and the headline case's end-to-end POR
-    // time. Either growing past the tolerance versus the last recorded
-    // run fails with exit code 3; with no prior number this run just
-    // sets the baseline.
-    banner("bench-regression gate");
-    let prior = prior_artifact();
+    // --- Fork-cost gate against the previous recording. ---
+    banner("fork-cost gate");
     let fork_cost_ns = measure_fork_cost_ns();
-    println!("substrate fork: {fork_cost_ns:.0} ns (200-frame history, observability off)");
-    let mut bench_regressed = false;
-    match prior.as_ref().and_then(|p| p.get("fork_cost_ns")?.as_f64()) {
-        Some(prev) => {
-            let ok = fork_cost_ns <= prev * REGRESSION_TOLERANCE;
-            verdict(
-                &format!("fork cost {fork_cost_ns:.0} ns within 25% of recorded {prev:.0} ns"),
-                ok,
-            );
-            bench_regressed |= !ok;
-        }
-        None => println!("fork cost: no prior recording; baseline set"),
-    }
-    if let Some(new_secs) = headline_por_secs {
-        match prior
-            .as_ref()
-            .and_then(|p| prior_case_f64(p, REGRESSION_CASE, "por_secs"))
-        {
-            Some(prev) => {
-                let ok = new_secs <= prev * REGRESSION_TOLERANCE;
-                verdict(
-                    &format!(
-                        "{REGRESSION_CASE} POR {new_secs:.3}s within 25% of recorded {prev:.3}s"
-                    ),
-                    ok,
-                );
-                bench_regressed |= !ok;
-            }
-            None => println!("{REGRESSION_CASE} POR: no prior recording; baseline set"),
-        }
-    }
+    let prev = recorded(baseline.as_ref(), &["fork_cost_ns"]);
+    run.gate(
+        "substrate fork ns (200-frame history, observability off)",
+        Better::Lower,
+        RECORDING_FLOOR,
+        prev.as_ref(),
+        &fork_cost_ns,
+    );
 
-    let path = write_json(
+    run.finish(
         "BENCH_model_check.json",
-        &serde_json::json!({
-            "experiment": "exp_statespace",
-            "smoke": smoke,
-            "threads": threads,
+        serde_json::json!({
             "fork_cost_ns": fork_cost_ns,
             "certificates": certificates,
             "cases": artifacts,
             "mutants": mutants,
         }),
-    );
-    println!("artifact: {}", path.display());
-
-    if !(all_passed && engines_agree && all_caught) {
-        std::process::exit(1);
-    }
-    if guard_regressed || bench_regressed {
-        std::process::exit(3);
-    }
+    )
 }

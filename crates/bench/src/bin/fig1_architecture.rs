@@ -12,7 +12,7 @@
 //! JSON-Lines record that ships as an artifact.
 
 use arfs_avionics::AvionicsSystem;
-use arfs_bench::{banner, verdict, write_json, write_text, TextTable};
+use arfs_bench::{write_observability, ExitCode, Run, TextTable};
 use arfs_core::obs::JournalEvent;
 
 /// A payload field rendered for the table: strings verbatim, anything
@@ -25,8 +25,8 @@ fn field(event: &JournalEvent, key: &str) -> String {
     }
 }
 
-fn main() {
-    banner("Figure 1: logical architecture signal flows");
+fn main() -> ExitCode {
+    let mut run = Run::start("Figure 1: logical architecture signal flows");
 
     let mut av = AvionicsSystem::new().expect("builds");
     av.engage_autopilot();
@@ -61,12 +61,12 @@ fn main() {
     let fault_edge = journal.of_kind("fault-signal").count() > 0;
     let reconfig_edge = journal.of_kind("reconfig-signal").count() > 0;
     let status_edge = journal.of_kind("status-signal").count() > 0;
-    verdict("fault signals: environment monitor -> SCRAM", fault_edge);
-    verdict(
+    run.verdict("fault signals: environment monitor -> SCRAM", fault_edge);
+    run.verdict(
         "reconfiguration signals: SCRAM -> applications",
         reconfig_edge,
     );
-    verdict(
+    run.verdict(
         "application status signals: applications -> SCRAM",
         status_edge,
     );
@@ -74,7 +74,7 @@ fn main() {
     // Everything rode the simulated time-triggered bus.
     let bus_log = av.system().bus().log();
     let bus_topics: Vec<&str> = bus_log.iter().map(|d| d.message.topic()).collect();
-    verdict(
+    run.verdict(
         "all three signal kinds appear on the real-time data bus",
         ["fault", "reconfig", "status"]
             .iter()
@@ -86,27 +86,25 @@ fn main() {
         .of_kind("phase-entered")
         .map(|e| field(e, "phase"))
         .collect();
-    verdict(
+    run.verdict(
         "SCRAM walked halt -> prepare -> initialize",
         phases == ["halt", "prepare", "initialize"],
     );
-    verdict(
+    run.verdict(
         "trigger, stable-storage commits, and completion journaled",
         journal.of_kind("trigger-accepted").count() == 1
             && journal.of_kind("stable-commit").count() > 0
             && journal.of_kind("completed").count() == 1,
     );
-    verdict(
+    run.verdict(
         "reconfiguration completed over the architecture",
         av.system().current_config().as_str() == "reduced-service",
     );
 
-    let journal_path = write_text("fig1_architecture.journal.jsonl", &journal.to_json_lines());
-    let metrics_path = write_json(
-        "fig1_architecture.metrics.json",
-        &av.system().metrics_snapshot(),
-    );
-    let path = write_json(
+    let (journal_path, metrics_path) = write_observability("fig1_architecture", av.system());
+    println!("journal:  {}", journal_path.display());
+    println!("metrics:  {}", metrics_path.display());
+    run.finish(
         "fig1_architecture.json",
         &serde_json::json!({
             "signals_logged": rows,
@@ -118,8 +116,5 @@ fn main() {
                 "status": status_edge,
             }
         }),
-    );
-    println!("\nartifact: {}", path.display());
-    println!("journal:  {}", journal_path.display());
-    println!("metrics:  {}", metrics_path.display());
+    )
 }

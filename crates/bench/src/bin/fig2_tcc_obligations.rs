@@ -10,18 +10,18 @@
 //! control, shows both the obligations and the lint diagnostics *fail*
 //! when a transition is deleted from the static table.
 
-use arfs_bench::{banner, verdict, write_json};
+use arfs_bench::{banner, ExitCode, Run};
 use arfs_core::analysis::{self, coverage};
 use arfs_core::lint::{codes, LintEngine, LintTarget};
 
-fn main() {
-    banner("Figure 2: proof obligations for the example instantiation");
+fn main() -> ExitCode {
+    let mut run = Run::start("Figure 2: proof obligations for the example instantiation");
 
     let spec = arfs_avionics::avionics_spec().expect("valid spec");
     let report = analysis::check_obligations(&spec);
     println!("% Obligations generated for avionics reconfiguration spec");
     println!("{report}\n");
-    verdict(
+    run.verdict(
         "all obligations proved for the avionics specification",
         report.all_passed(),
     );
@@ -50,22 +50,21 @@ fn main() {
     for gap in &gaps {
         println!("  uncovered: {gap}");
     }
-    verdict(
+    run.verdict(
         "broken specification is rejected by covering_txns",
         !report.all_passed() && !gaps.is_empty(),
     );
-    verdict(
+    run.verdict(
         "lint reports ARFS-E002 for the deleted transition",
         !lint.of_code(codes::E002).is_empty(),
     );
 
-    let path = write_json(
+    run.finish(
         "fig2_tcc_obligations.json",
         &serde_json::json!({
             "avionics": analysis::check_obligations(&spec),
             "negative_control_gaps": gaps.len(),
             "negative_control_lint": lint,
         }),
-    );
-    println!("\nartifact: {}", path.display());
+    )
 }

@@ -8,13 +8,13 @@
 //! specification.
 
 use arfs_avionics::AvionicsSystem;
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{ExitCode, Run, TextTable};
 use arfs_core::app::ConfigStatus;
 use arfs_core::scram::{MidReconfigPolicy, ScramEvent, SyncPolicy};
 use arfs_core::AppId;
 
-fn main() {
-    banner("Table 1: SFTA phases (frame-by-frame reconfiguration protocol)");
+fn main() -> ExitCode {
+    let mut run = Run::start("Table 1: SFTA phases (frame-by-frame reconfiguration protocol)");
 
     let mut av = AvionicsSystem::with_policies(
         MidReconfigPolicy::BufferUntilComplete,
@@ -105,17 +105,17 @@ fn main() {
         .map(|f| trace.state(f).unwrap().apps[&fcs].commanded.as_str())
         .collect();
     let expected = ["normal", "halt", "prepare", "initialize"];
-    verdict(
+    run.verdict(
         "per-frame command sequence matches Table 1 (halt, prepare, initialize)",
         commands == expected,
     );
-    verdict("reconfiguration spans exactly 4 cycles", r.cycles() == 4);
+    run.verdict("reconfiguration spans exactly 4 cycles", r.cycles() == 4);
     let end = trace.state(r.end_c).unwrap();
-    verdict(
+    run.verdict(
         "all preconditions for Ct hold at the end frame",
         end.apps.values().all(|a| a.pre_ok == Some(true)),
     );
-    verdict(
+    run.verdict(
         "service level is reduced-service at the end frame",
         end.svclvl.as_str() == "reduced-service",
     );
@@ -131,13 +131,12 @@ fn main() {
             _ => None,
         })
         .collect();
-    verdict(
+    run.verdict(
         "SCRAM event log shows halt -> prepare -> initialize",
         phases == ["halt", "prepare", "initialize"],
     );
 
-    let path = write_json("table1_sfta_phases.json", &observed);
-    println!("\nartifact: {}", path.display());
+    run.finish("table1_sfta_phases.json", &observed)
 }
 
 fn fmt_pred(p: Option<bool>) -> &'static str {

@@ -12,7 +12,7 @@
 //!    the checkers are not vacuous).
 
 use arfs_avionics::AvionicsSystem;
-use arfs_bench::{banner, verdict, write_json, TextTable};
+use arfs_bench::{banner, ExitCode, Run, TextTable};
 use arfs_core::model::ModelChecker;
 use arfs_core::properties::{self, PropertyId};
 use arfs_core::scram::ScramMutation;
@@ -21,8 +21,8 @@ use arfs_core::AppId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    banner("Table 2: formal properties SP1-SP4");
+fn main() -> ExitCode {
+    let mut run = Run::start("Table 2: formal properties SP1-SP4");
 
     // --- Part 1: randomized avionics schedules. ---
     let runs = 300;
@@ -56,7 +56,7 @@ fn main() {
     println!(
         "randomized: {runs} runs, {reconfig_count} reconfigurations checked, {violation_count} violations"
     );
-    verdict(
+    run.verdict(
         "randomized avionics traces satisfy SP1-SP4 (+extensions)",
         violation_count == 0,
     );
@@ -64,13 +64,9 @@ fn main() {
     // --- Part 2: exhaustive bounded model checking. ---
     let spec = arfs_avionics::avionics_spec().expect("valid spec");
     let mc = ModelChecker::new(spec, 26, 2);
-    let report = mc.run_parallel(
-        std::thread::available_parallelism()
-            .map(Into::into)
-            .unwrap_or(4),
-    );
+    let report = mc.run_parallel(run.cores);
     println!("exhaustive: {report}");
-    verdict(
+    run.verdict(
         "exhaustive schedule exploration proves SP1-SP4 on the bounded model",
         report.all_passed(),
     );
@@ -134,12 +130,12 @@ fn main() {
         let _ = description;
     }
     println!("{table}");
-    verdict(
+    run.verdict(
         "every seeded protocol defect is caught by its target property",
         all_caught,
     );
 
-    let path = write_json(
+    run.finish(
         "table2_properties.json",
         &serde_json::json!({
             "randomized_runs": runs,
@@ -151,6 +147,5 @@ fn main() {
                 "property": p, "mutation": m, "caught": c
             })).collect::<Vec<_>>(),
         }),
-    );
-    println!("\nartifact: {}", path.display());
+    )
 }
